@@ -1,490 +1,70 @@
-"""Engine ablations for the §2.3 scheduling claims.
+"""Engine ablation for the §2.3 scheduling claims.
 
-The optimized scheduler has two key insights — pruning-power ordering and
-spatial/temporal partitioning — plus binding propagation between data
-queries, which since the identity-pushdown work has two strengths:
-``no_pushdown`` keeps propagation but applies the propagated identity sets
-by post-filtering survivors in the engine, while the full configuration
-pushes them into the storage backend's scan.  Each configuration runs the
-full Figure 4 query set so the benchmark table shows each optimization's
-contribution.  DESIGN.md calls these out as the design choices under test.
+The scheduler's two levers — pruning-power ordering (``prioritize``) and
+binding propagation (``propagate``) — are each switched off, alone and
+together, over the IOC-free ``hunt`` query set on the 8-host feed the
+benchmark's ``hunt`` workload uses: no agent pin, ``%like%`` matches,
+joins under ``within`` bounds, so scans and joins do the work and the
+configurations separate.  ``python -m aiqlbench compare`` is the
+regression gate; this table shows each lever's contribution.
 
-Worker counts are pinned (``BENCH_WORKERS``) so timings are deterministic
-across machines.
+``REPRO_BENCH_EVENTS`` sets the feed's events per host (default 8000).
 """
 
 from __future__ import annotations
 
+import os
 import time
+from dataclasses import replace
 
 import pytest
 
-import benchlib
+from aiqlbench import feeds
+from aiqlbench.harness import FULL
+from aiqlbench.hunt_queries import HUNT_QUERIES
 from repro.engine.executor import EngineOptions, execute
 from repro.lang.parser import parse
 from repro.storage.backend import create_backend
 
-# Pinned worker count for deterministic timings (kept in sync with
-# BENCH_WORKERS in benchmarks/conftest.py; duplicated here because the
-# conftest is only importable as a pytest plugin, not as a module).
-BENCH_WORKERS = 4
+FEED_EVENTS = int(os.environ.get("REPRO_BENCH_EVENTS", "8000"))
 
 CONFIGURATIONS = {
-    "full": EngineOptions(max_workers=BENCH_WORKERS),
-    "no_prioritize": EngineOptions(prioritize=False,
-                                   max_workers=BENCH_WORKERS),
-    "no_propagate": EngineOptions(propagate=False,
-                                  max_workers=BENCH_WORKERS),
-    "no_pushdown": EngineOptions(pushdown=False,
-                                 max_workers=BENCH_WORKERS),
-    # Finer levers under pushdown: temporal bounds fall back to exact
-    # post-filtering of survivors / large binding sets fall back to
-    # per-element set probes.  Results are identical in every config.
-    "no_temporal_pushdown": EngineOptions(temporal_pushdown=False,
-                                          max_workers=BENCH_WORKERS),
-    "no_bitmap": EngineOptions(bitmap_bindings=False,
-                               max_workers=BENCH_WORKERS),
-    # Windowed estimates fall back to the uniform-time scaling; ordering
-    # may differ, results never do.
-    "no_histogram": EngineOptions(histogram_estimates=False,
-                                  max_workers=BENCH_WORKERS),
-    "no_partition": EngineOptions(partition=False,
-                                  max_workers=BENCH_WORKERS),
-    # Vectorized-execution levers: the columnar batch fast path, the
-    # needed-column projection sets, and the pushed top-k scan order.
-    # Each is byte-identical on and off.
-    "no_vectorized": EngineOptions(vectorized=False,
-                                   max_workers=BENCH_WORKERS),
-    "no_projection": EngineOptions(projection_pushdown=False,
-                                   max_workers=BENCH_WORKERS),
-    "no_topk": EngineOptions(topk_pushdown=False,
-                             max_workers=BENCH_WORKERS),
-    "none": EngineOptions(prioritize=False, propagate=False,
-                          partition=False, pushdown=False,
-                          max_workers=BENCH_WORKERS),
+    "full": EngineOptions(),
+    "no_prioritize": EngineOptions(prioritize=False),
+    "no_propagate": EngineOptions(propagate=False),
+    "none": EngineOptions(prioritize=False, propagate=False),
 }
 
 
-def _run_catalog(env, options: EngineOptions) -> int:
-    total_rows = 0
-    for entry in env.catalog:
-        result = execute(env.store, parse(entry.aiql), options)
-        total_rows += len(result.rows)
-    return total_rows
+@pytest.fixture(scope="module")
+def hunt_store(backend_name):
+    store = create_backend(backend_name)
+    store.ingest(feeds.hunt_feed(
+        7, replace(FULL, feed_events_per_host=FEED_EVENTS)))
+    yield store
+    close = getattr(store, "close", None)
+    if close is not None:
+        close()
+
+
+def _run_hunt(store, options: EngineOptions) -> list[list[tuple]]:
+    return [execute(store, parse(aiql), options).rows
+            for _qid, aiql in HUNT_QUERIES]
 
 
 @pytest.fixture(scope="module")
-def reference_rows(fig4_env):
-    return _run_catalog(fig4_env, CONFIGURATIONS["full"])
+def reference_rows(hunt_store):
+    return _run_hunt(hunt_store, CONFIGURATIONS["none"])
 
 
 @pytest.mark.parametrize("name", list(CONFIGURATIONS))
 @pytest.mark.benchmark(group="ablation-scheduler")
-def test_scheduler_ablation(benchmark, fig4_env, reference_rows, name):
+def test_scheduler_ablation(benchmark, hunt_store, reference_rows, name):
     options = CONFIGURATIONS[name]
-    rows = benchmark.pedantic(_run_catalog, args=(fig4_env, options),
+    rows = benchmark.pedantic(_run_hunt, args=(hunt_store, options),
                               rounds=2, iterations=1, warmup_rounds=1)
-    # Optimizations must never change results, only speed.
+    # The levers must never change results, only speed.
     assert rows == reference_rows
-
-
-# ---------------------------------------------------------------------------
-# Acceptance check: identity pushdown vs survivor post-filtering
-# ---------------------------------------------------------------------------
-
-# A binding-propagation-heavy shape: the selective pattern pins the shared
-# file variable to one identity, which then restricts the broad
-# all-file-writes pattern.  With pushdown the broad pattern's scan tests
-# dictionary codes and materializes a handful of survivors; without it,
-# every write event is materialized and discarded by the post-filter.
-PUSHDOWN_AIQL = '''
-proc r["rare.exe"] read file f as e1
-proc w write file f as e2
-with e1 before e2
-return distinct f
-'''
-
-_PUSH = EngineOptions(partition=False, max_workers=1, pushdown=True)
-_POST = EngineOptions(partition=False, max_workers=1, pushdown=False)
-
-PUSHDOWN_EVENTS = 30_000
-
-
-def _pushdown_workload():
-    """One rare read pinning ``f``, then a sea of unrelated writes."""
-    from repro.model.entities import FileEntity, ProcessEntity
-    agent = 1
-    rare = ProcessEntity(agent, 1, "rare.exe")
-    target = FileEntity(agent, "/data/target")
-    store = create_backend("row")
-    store.record(1000.0, agent, "read", rare, target)
-    writers = [ProcessEntity(agent, 10 + index, f"writer{index}.exe")
-               for index in range(8)]
-    for index in range(PUSHDOWN_EVENTS):
-        store.record(2000.0 + index, agent, "write",
-                     writers[index % len(writers)],
-                     FileEntity(agent, f"/noise/{index % 4096}"))
-    # A few genuine matches after the pin, so the query returns rows.
-    for index in range(3):
-        store.record(40_000.0 + index, agent, "write",
-                     writers[index], target)
-    return store.scan()
-
-
-def _best_of(store, options: EngineOptions, rounds: int = 5):
-    query = parse(PUSHDOWN_AIQL)
-    return benchlib.best_of(
-        lambda: execute(store, query, options).rows, rounds=rounds)
-
-
-def test_pushdown_beats_post_filter_on_columnar():
-    """Acceptance check: on the columnar backend, pushing propagated
-    identity bindings into the batch scan beats post-filtering the
-    materialized survivors — and every backend returns byte-identical
-    rows in both modes.
-    """
-    events = _pushdown_workload()
-    stores = {}
-    for name in ("row", "columnar", "sqlite"):
-        store = create_backend(name)
-        store.ingest(events)
-        stores[name] = store
-
-    reference = None
-    for name, store in stores.items():
-        _push_time, pushed_rows = _best_of(store, _PUSH)
-        _post_time, posted_rows = _best_of(store, _POST)
-        assert pushed_rows == posted_rows, name
-        if reference is None:
-            reference = pushed_rows
-        assert pushed_rows == reference, name
-    assert reference  # the scenario must actually produce matches
-
-    push_time, _rows = _best_of(stores["columnar"], _PUSH)
-    post_time, _rows = _best_of(stores["columnar"], _POST)
-    print(f"\ncolumnar binding-propagated query: pushdown "
-          f"{push_time * 1000:.2f} ms, post-filter {post_time * 1000:.2f} ms "
-          f"({post_time / push_time:.1f}x)")
-    assert push_time < post_time
-
-
-# ---------------------------------------------------------------------------
-# Acceptance check: temporal-bounds pushdown vs survivor post-filtering
-# ---------------------------------------------------------------------------
-
-# A before-chain shape dominated by temporal propagation: the selective
-# anchor pattern matches once, late in the stream, after days of noise
-# writes.  Propagated (transitive) bounds restrict both the chain's tail
-# (shared file variable, so bindings propagate too) and its broad middle
-# pattern to the sliver after the anchor.  With temporal pushdown the
-# columnar store zone-skips the noise partitions and binary-searches the
-# sorted ts column to clamp the fused loop; without it every noise write
-# is scanned, materialized, and discarded by the exact post-filter.
-TEMPORAL_AIQL = '''
-proc r["rare.exe"] read file f as e1
-proc w write file g as e2
-proc t["tail%"] write file f as e3
-with e1 before e2, e2 before e3
-return distinct f
-'''
-
-TEMPORAL_EVENTS = 30_000
-#: Noise spacing spreads the writes over several day-buckets so zone-map
-#: partition skipping engages on top of the in-partition binary search.
-TEMPORAL_SPACING = 12.0
-
-_TPUSH = EngineOptions(partition=False, max_workers=1)
-_TPOST = EngineOptions(partition=False, max_workers=1,
-                       temporal_pushdown=False)
-
-
-def _temporal_workload():
-    """Days of noise, then a rare anchor read and the chain completions."""
-    from repro.model.entities import FileEntity, ProcessEntity
-    agent = 1
-    store = create_backend("row")
-    writers = [ProcessEntity(agent, 10 + index, f"writer{index}.exe")
-               for index in range(8)]
-    for index in range(TEMPORAL_EVENTS):
-        store.record(1000.0 + index * TEMPORAL_SPACING, agent, "write",
-                     writers[index % len(writers)],
-                     FileEntity(agent, f"/noise/{index % 4096}"))
-    anchor_ts = 1000.0 + TEMPORAL_EVENTS * TEMPORAL_SPACING
-    rare = ProcessEntity(agent, 1, "rare.exe")
-    tail = ProcessEntity(agent, 2, "tail.exe")
-    target = FileEntity(agent, "/data/target")
-    store.record(anchor_ts, agent, "read", rare, target)
-    # Chain completions after the anchor: e2 partners, then tail writes.
-    for index in range(3):
-        store.record(anchor_ts + 10 + index, agent, "write",
-                     writers[index], FileEntity(agent, f"/mid/{index}"))
-        store.record(anchor_ts + 20 + index, agent, "write", tail, target)
-    return store.scan()
-
-
-def test_temporal_pushdown_beats_post_filter_on_columnar():
-    """Acceptance check: on the columnar backend, pushing propagated
-    temporal bounds into the scan as range predicates beats exact
-    post-filtering of the materialized survivors by at least 1.5x on a
-    binding-propagated ``before``-chain query — and every backend returns
-    byte-identical rows in both modes.
-    """
-    events = _temporal_workload()
-    query = parse(TEMPORAL_AIQL)
-    stores = {}
-    for name in ("row", "columnar", "sqlite"):
-        store = create_backend(name)
-        store.ingest(events)
-        stores[name] = store
-
-    reference = None
-    for name, store in stores.items():
-        pushed_rows = execute(store, query, _TPUSH).rows
-        posted_rows = execute(store, query, _TPOST).rows
-        assert pushed_rows == posted_rows, name
-        if reference is None:
-            reference = pushed_rows
-        assert pushed_rows == reference, name
-    assert reference  # the chain must actually produce matches
-
-    def _run(options):
-        best, _ = benchlib.best_of(
-            lambda: execute(stores["columnar"], query, options), rounds=5)
-        return best
-
-    push_time = _run(_TPUSH)
-    post_time = _run(_TPOST)
-    print(f"\ncolumnar before-chain query: temporal pushdown "
-          f"{push_time * 1000:.2f} ms, post-filter {post_time * 1000:.2f} ms "
-          f"({post_time / push_time:.1f}x)")
-    assert post_time >= push_time * 1.5
-
-
-# ---------------------------------------------------------------------------
-# Acceptance check: histogram estimates vs the uniform-time assumption
-# ---------------------------------------------------------------------------
-
-# A skewed-timestamp shape inside ONE day bucket: bulk.exe's 30k writes
-# all land in the early hours, probe.exe's 20k reads inside the queried
-# afternoon window.  Under the uniform-time assumption both patterns
-# scale by the same in-window fraction, so the (truly tiny) bulk pattern
-# looks ~1.5x *more* expensive than the (truly huge) probe pattern and
-# executes second — after probe has materialized 20k events and bound
-# ``f`` to thousands of identities.  Per-posting equi-depth histograms
-# see bulk's in-window mass is ~5 events, run it first, and probe's scan
-# collapses to the handful of events touching the bound file.
-SKEW_DAY = "01/02/2000"
-SKEW_AIQL = f'''
-(from "{SKEW_DAY} 10:00:00" to "{SKEW_DAY} 16:00:00")
-proc a["bulk.exe"] write file f as e1
-proc b["probe.exe"] read file f as e2
-with e1 before e2
-return distinct f
-'''
-
-SKEW_BULK_EVENTS = 30_000
-SKEW_PROBE_EVENTS = 20_000
-
-_HIST = EngineOptions(partition=False, max_workers=1)
-_UNIFORM = EngineOptions(partition=False, max_workers=1,
-                         histogram_estimates=False)
-
-
-def _skewed_workload():
-    from repro.model.entities import FileEntity, ProcessEntity
-    from repro.model.timeutil import parse_timestamp
-    day = parse_timestamp(SKEW_DAY)
-    agent = 1
-    store = create_backend("row")
-    bulk = ProcessEntity(agent, 1, "bulk.exe")
-    probe = ProcessEntity(agent, 2, "probe.exe")
-    target = FileEntity(agent, "/data/target")
-    # The early-morning bulk: outside the queried window, same bucket.
-    for index in range(SKEW_BULK_EVENTS):
-        store.record(day + 1000.0 + index, agent, "write", bulk,
-                     FileEntity(agent, f"/bulk/{index % 4096}"))
-    # Five in-window bulk writes of the target (the true e1 matches).
-    for index in range(5):
-        store.record(day + 36_100.0 + index, agent, "write", bulk, target)
-    # The in-window probe flood, then a few genuine chain completions.
-    for index in range(SKEW_PROBE_EVENTS):
-        store.record(day + 36_200.0 + index, agent, "read", probe,
-                     FileEntity(agent, f"/probe/{index % 4096}"))
-    for index in range(3):
-        store.record(day + 56_500.0 + index, agent, "read", probe, target)
-    return store.scan()
-
-
-def test_histogram_estimates_beat_uniform_on_skewed_workload():
-    """Acceptance check: on the skewed-timestamp workload, histogram
-    estimates flip the join order (the truly selective pattern first) and
-    win >= 1.5x end to end on the columnar backend — with byte-identical
-    rows on every backend in both modes.
-    """
-    events = _skewed_workload()
-    query = parse(SKEW_AIQL)
-    stores = {}
-    for name in ("row", "columnar", "sqlite"):
-        store = create_backend(name)
-        store.ingest(events)
-        stores[name] = store
-
-    reference = None
-    for name, store in stores.items():
-        hist_result = execute(store, query, _HIST)
-        uniform_rows = execute(store, query, _UNIFORM).rows
-        assert hist_result.rows == uniform_rows, name
-        if reference is None:
-            reference = hist_result.rows
-        assert hist_result.rows == reference, name
-    assert reference == [("/data/target",)]
-
-    # The decision the statistics change: with histograms the selective
-    # bulk pattern executes first (sqlite's exact COUNT estimates already
-    # order correctly in both modes, which is why the timing acceptance
-    # runs on columnar).
-    hist_report = execute(stores["columnar"], query, _HIST).report
-    uniform_report = execute(stores["columnar"], query, _UNIFORM).report
-    assert "pattern order: e1 -> e2" in hist_report
-    assert "pattern order: e2 -> e1" in uniform_report
-
-    def _best_of(options, rounds=5):
-        best, _ = benchlib.best_of(
-            lambda: execute(stores["columnar"], query, options),
-            rounds=rounds)
-        return best
-
-    hist_time = _best_of(_HIST)
-    uniform_time = _best_of(_UNIFORM)
-    print(f"\ncolumnar skewed-window query: histogram estimates "
-          f"{hist_time * 1000:.2f} ms, uniform assumption "
-          f"{uniform_time * 1000:.2f} ms "
-          f"({uniform_time / hist_time:.1f}x)")
-    assert uniform_time >= hist_time * 1.5
-
-
-# ---------------------------------------------------------------------------
-# Acceptance check: vectorized batch execution vs row-at-a-time
-# ---------------------------------------------------------------------------
-
-# A scan-heavy single-pattern projection: every write survives the
-# indexes, the residual amount filter touches each candidate, and the
-# return clause only reads two columns.  Row-at-a-time execution
-# materializes an Event and a binding dict per survivor; the vectorized
-# path answers from the fused filter's column slices directly.
-VECTORIZED_AIQL = '''
-amount > 5000
-proc p write file f as e1
-return f, e1.amount
-'''
-
-# A top-k-bounded figure-4-style catalog query: scan-heavy, explicitly
-# time-ordered, only the newest 25 matches wanted.  With topk_pushdown
-# the columnar scan walks its sorted spans from the tail and stops;
-# without it every survivor is collected and sorted.
-TOPK_AIQL = '''
-amount > 5000
-proc p write file f as e1
-return f, e1.amount, e1.ts sort by e1.ts desc top 25
-'''
-
-VECTORIZED_EVENTS = 30_000
-
-_VEC = EngineOptions(partition=False, max_workers=1)
-_ROWWISE = EngineOptions(partition=False, max_workers=1, vectorized=False)
-_NOTOPK = EngineOptions(partition=False, max_workers=1,
-                        topk_pushdown=False)
-
-#: The full lever matrix every acceptance query must be invariant under.
-_LEVER_MATRIX = [
-    EngineOptions(partition=False, max_workers=1, vectorized=vectorized,
-                  projection_pushdown=projection, topk_pushdown=topk)
-    for vectorized in (True, False)
-    for projection in (True, False)
-    for topk in (True, False)]
-
-
-def _vectorized_workload():
-    """A sea of writes with varied amounts; ~half survive the filter."""
-    from repro.model.entities import FileEntity, ProcessEntity
-    agent = 1
-    store = create_backend("row")
-    writers = [ProcessEntity(agent, 10 + index, f"writer{index}.exe")
-               for index in range(8)]
-    for index in range(VECTORIZED_EVENTS):
-        store.record(1000.0 + index * 0.5, agent, "write",
-                     writers[index % len(writers)],
-                     FileEntity(agent, f"/data/{index % 4096}"),
-                     amount=(index * 7919) % 10_000)
-    return store.scan()
-
-
-def _timed(store, query, options, rounds: int = 5):
-    return benchlib.best_of(
-        lambda: execute(store, query, options).rows, rounds=rounds)
-
-
-def test_vectorized_beats_row_at_a_time_on_columnar():
-    """Acceptance check: on the columnar backend the vectorized batch
-    path answers the scan-heavy projection at least 3x faster than
-    row-at-a-time execution — with byte-identical rows on all three
-    backends under every lever combination.
-    """
-    events = _vectorized_workload()
-    query = parse(VECTORIZED_AIQL)
-    stores = {}
-    for name in ("row", "columnar", "sqlite"):
-        store = create_backend(name)
-        store.ingest(events)
-        stores[name] = store
-
-    reference = None
-    for name, store in stores.items():
-        for options in _LEVER_MATRIX:
-            rows = execute(store, query, options).rows
-            if reference is None:
-                reference = rows
-            assert rows == reference, (name, options)
-    assert reference  # the filter must actually select something
-
-    vec_time, _rows = _timed(stores["columnar"], query, _VEC)
-    row_time, _rows = _timed(stores["columnar"], query, _ROWWISE)
-    print(f"\ncolumnar scan-heavy projection: vectorized "
-          f"{vec_time * 1000:.2f} ms, row-at-a-time "
-          f"{row_time * 1000:.2f} ms ({row_time / vec_time:.1f}x)")
-    assert row_time >= vec_time * 3
-
-
-def test_topk_pushdown_beats_full_sort_on_columnar():
-    """Acceptance check: pushing ``sort by ts desc top 25`` into the
-    columnar scan (walk sorted spans from the tail, stop at the 25th
-    survivor) beats collect-everything-then-sort by at least 2x — with
-    byte-identical rows on all three backends under every lever
-    combination.
-    """
-    events = _vectorized_workload()
-    query = parse(TOPK_AIQL)
-    stores = {}
-    for name in ("row", "columnar", "sqlite"):
-        store = create_backend(name)
-        store.ingest(events)
-        stores[name] = store
-
-    reference = None
-    for name, store in stores.items():
-        for options in _LEVER_MATRIX:
-            rows = execute(store, query, options).rows
-            if reference is None:
-                reference = rows
-            assert rows == reference, (name, options)
-    assert reference and len(reference) == 25
-
-    topk_time, _rows = _timed(stores["columnar"], query, _VEC)
-    sort_time, _rows = _timed(stores["columnar"], query, _NOTOPK)
-    print(f"\ncolumnar top-25 catalog query: top-k pushdown "
-          f"{topk_time * 1000:.2f} ms, full sort "
-          f"{sort_time * 1000:.2f} ms ({sort_time / topk_time:.1f}x)")
-    assert sort_time >= topk_time * 2
 
 
 def test_analyzer_overhead_is_negligible():

@@ -27,21 +27,13 @@ import pytest
 
 from repro.baselines.graph import GraphStore
 from repro.baselines.sqlite_backend import RelationalBaseline
-from repro.engine.executor import EngineOptions, execute
+from repro.engine.executor import execute
 from repro.lang.parser import parse
 from repro.storage.backend import StorageBackend, create_backend
 from repro.telemetry import build_case2_scenario, build_demo_scenario
 
 FIG4_EVENTS = int(os.environ.get("REPRO_BENCH_EVENTS", "8000"))
 FIG5_EVENTS = int(os.environ.get("REPRO_BENCH_EVENTS2", "2500"))
-
-#: Benchmarks pin the sub-query pool so timings are comparable across
-#: machines whatever ``os.cpu_count()`` says.
-BENCH_WORKERS = 4
-
-#: The engine configuration every timed AIQL run uses (explicit worker
-#: count; all optimizations at their defaults).
-BENCH_OPTIONS = EngineOptions(max_workers=BENCH_WORKERS)
 
 
 def pytest_addoption(parser):
@@ -84,7 +76,7 @@ class BenchEnv:
         self.timings.setdefault(system, {})[query_id] = seconds
 
     def run_aiql(self, entry) -> float:
-        result = execute(self.store, parse(entry.aiql), BENCH_OPTIONS)
+        result = execute(self.store, parse(entry.aiql))
         self.record("aiql", entry.id, result.elapsed)
         return result.elapsed
 

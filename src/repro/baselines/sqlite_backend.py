@@ -247,7 +247,7 @@ class SqliteEventStore:
         if bucket_seconds <= 0:
             raise StorageError("bucket size must be positive")
         self._bucket_seconds = bucket_seconds
-        # The parallel executor issues sub-queries from worker threads;
+        # Queries can arrive from several threads (the web UI's server);
         # SQLite connections are not thread-safe, so serialize access.
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._lock = threading.Lock()

@@ -53,7 +53,6 @@ class AiqlSession:
                  options: EngineOptions = DEFAULT_OPTIONS,
                  bucket_seconds: float = SECONDS_PER_DAY,
                  backend: str = "row",
-                 max_workers: int | None = None,
                  durable_dir: "str | None" = None,
                  sync: str = "always",
                  shards: int | None = None,
@@ -87,11 +86,6 @@ class AiqlSession:
         elif store is None:
             store = create_backend(backend, bucket_seconds)
         self.store = store
-        # ``max_workers`` overrides the option set's worker count (None in
-        # the defaults means size-to-machine); benchmarks and the CLI use
-        # it to pin the sub-query fan-out explicitly.
-        if max_workers is not None:
-            options = replace(options, max_workers=max_workers)
         self.options = options
         self._stream = None
         self._last_tracer: Tracer | None = None
@@ -114,8 +108,8 @@ class AiqlSession:
     def recover(cls, durable_dir: str, *,
                 options: EngineOptions = DEFAULT_OPTIONS,
                 bucket_seconds: float = SECONDS_PER_DAY,
-                backend: str = "row", sync: str = "always",
-                max_workers: int | None = None) -> "AiqlSession":
+                backend: str = "row",
+                sync: str = "always") -> "AiqlSession":
         """Open a session over a crash-recovered durable directory.
 
         Replays the checkpoint and the surviving WAL suffix (torn tails
@@ -127,7 +121,7 @@ class AiqlSession:
         from repro.storage.durable import recover as recover_store
         store = recover_store(durable_dir, backend=backend,
                               bucket_seconds=bucket_seconds, sync=sync)
-        return cls(store=store, options=options, max_workers=max_workers)
+        return cls(store=store, options=options)
 
     def checkpoint(self) -> int:
         """Snapshot a durable store and truncate its WAL.

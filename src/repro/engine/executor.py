@@ -22,9 +22,8 @@ from repro.engine.anomaly import execute_anomaly
 from repro.engine.dependency import rewrite_dependency
 from repro.engine.joiner import Binding
 from repro.engine.options import DEFAULT_OPTIONS, EngineOptions
-from repro.engine.parallel import execute_plan, merge_reports
 from repro.engine.planner import QueryPlan, plan_multievent
-from repro.engine.scheduler import Scheduler
+from repro.engine.scheduler import Scheduler, execute_plan
 from repro.storage.backend import StorageBackend
 
 __all__ = ["DEFAULT_OPTIONS", "EngineOptions", "execute", "explain",
@@ -77,14 +76,6 @@ def explain(store: StorageBackend, query: Query,
         ops = "||".join(sorted(dq.operations))
         lines.append(f"  {dq.event_var}: {dq.event_type}/{ops} "
                      f"estimated {estimate} events via {info.name}")
-    from repro.engine.parallel import (spatially_partitionable,
-                                       temporally_partitionable)
-    if spatially_partitionable(plan):
-        lines.append("  partitioning: spatial (one sub-query per agent)")
-    elif temporally_partitionable(plan):
-        lines.append("  partitioning: temporal (one sub-query per bucket)")
-    else:
-        lines.append("  partitioning: none (cross-host join)")
     return "\n".join(lines)
 
 
@@ -98,22 +89,18 @@ def _execute_multievent(store: StorageBackend, query: MultieventQuery,
     tracer = options.tracer or NULL_TRACER
     with tracer.span("plan"):
         plan = plan_multievent(query)
-    if options.vectorized:
-        from repro.engine.vectorized import execute_vectorized
-        fast = execute_vectorized(store, plan, query, options)
-        if fast is not None:
-            columns, rows, report = fast
-            elapsed = monotonic() - started
-            report.elapsed = elapsed
-            return QueryResult(columns=columns, rows=rows, elapsed=elapsed,
-                               kind="multievent", report=report.describe(),
-                               execution=report)
-    parallel = execute_plan(store, plan, options)
-    with tracer.span("project") as span:
-        columns, rows = project_bindings(plan, query, parallel.rows)
-        span.set(bindings=len(parallel.rows), rows=len(rows))
-    report = merge_reports(parallel.reports)
-    report.joined_rows = len(parallel.rows)
+    # Imported here: the vectorized module imports this one's ordering
+    # primitives at its top.
+    from repro.engine.vectorized import execute_vectorized
+    fast = execute_vectorized(store, plan, query, options)
+    if fast is not None:
+        columns, rows, report = fast
+    else:
+        bindings, report = execute_plan(store, plan, options)
+        with tracer.span("project") as span:
+            columns, rows = project_bindings(plan, query, bindings)
+            span.set(bindings=len(bindings), rows=len(rows))
+        report.joined_rows = len(bindings)
     elapsed = monotonic() - started
     report.elapsed = elapsed
     return QueryResult(columns=columns, rows=rows, elapsed=elapsed,

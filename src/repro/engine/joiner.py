@@ -18,11 +18,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError
 from repro.model.events import Event
 from repro.engine.planner import DataQuery, QueryPlan
-from repro.engine.scheduler import ScheduledMatches
+
+if TYPE_CHECKING:
+    # Annotation only: the scheduler imports ``join`` for execute_plan.
+    from repro.engine.scheduler import ScheduledMatches
 
 # A binding maps event variables to events and entity variables to entities.
 Binding = dict[str, object]

@@ -14,8 +14,10 @@ Concretely the scheduler:
    patterns' time windows;
 3. short-circuits to an empty result the moment any pattern has no match.
 
-Both optimizations are individually toggleable so the ablation benchmark
-can measure their contribution.
+Both are :class:`~repro.engine.options.EngineOptions` levers; with both
+off the patterns run in declaration order over unrestricted scans and the
+join does all the work — the reference the differential tests compare
+against.
 """
 
 from __future__ import annotations
@@ -28,16 +30,17 @@ from repro.model.events import Event
 from repro.model.timeutil import Window
 from repro.obs.clock import monotonic
 from repro.obs.trace import NULL_TRACER
+from repro.engine.joiner import Binding, join
 from repro.engine.options import DEFAULT_OPTIONS, EngineOptions
 from repro.engine.planner import DataQuery, QueryPlan
-from repro.storage.backend import (IdentityBindings, ScanOrder, ScanSpec,
+from repro.storage.backend import (IdentityBindings, ScanSpec,
                                    StorageBackend, TemporalBounds)
 
 
 def annotate_path(name: str, spec: ScanSpec) -> str:
     """Append the spec's projection/order pushdowns to an access-path name.
 
-    The explain surface's rendering of the vectorized levers: which
+    The explain surface's rendering of the scan pushdowns: which
     columns the scan was asked to gather and whether a top-k limit was
     pushed into it (``first``/``last`` = ascending/descending time
     order).
@@ -102,33 +105,6 @@ class ExecutionReport:
     joined_rows: int = 0
     elapsed: float = 0.0
 
-    def aggregated(self) -> "list[PatternExecution]":
-        """Per-pattern totals across partitions, in execution order.
-
-        The parallel executor concatenates one :class:`PatternExecution`
-        per pattern *per partition*; the EXPLAIN ANALYZE surface wants
-        one line per pattern, so sum counts and elapsed per event
-        variable (keeping the first recorded access path).
-        """
-        by_var: dict[str, PatternExecution] = {}
-        for trace in self.patterns:
-            agg = by_var.get(trace.event_var)
-            if agg is None:
-                by_var[trace.event_var] = PatternExecution(
-                    event_var=trace.event_var, estimate=trace.estimate,
-                    fetched=trace.fetched, matched=trace.matched,
-                    elapsed=trace.elapsed, path=trace.path)
-            else:
-                agg.estimate += trace.estimate
-                agg.fetched += trace.fetched
-                agg.matched += trace.matched
-                agg.elapsed += trace.elapsed
-                if not agg.path:
-                    agg.path = trace.path
-        ordered = [var for var in dict.fromkeys(self.order) if var in by_var]
-        ordered += [var for var in by_var if var not in ordered]
-        return [by_var[var] for var in ordered]
-
     def describe(self) -> str:
         lines = [f"pattern order: {' -> '.join(self.order) or '(none)'}"]
         for trace in self.patterns:
@@ -159,17 +135,15 @@ class Scheduler:
     Works against any :class:`~repro.storage.backend.StorageBackend`; each
     pattern's fetch-and-filter goes through the backend's ``select`` so a
     batch-evaluating substrate can push the residual predicate into its
-    scan.  One :class:`~repro.engine.options.EngineOptions` value carries
-    every toggle — the scan-facing ones are lowered into the
-    :class:`~repro.storage.backend.ScanSpec` each scan receives.
+    scan.  Everything the scheduler knows about a scan travels in the
+    :class:`~repro.storage.backend.ScanSpec` it receives.
 
-    With ``pushdown`` enabled (the default), propagated identity-binding
-    sets and temporal bounds travel *into* the backend inside the spec,
-    pruning candidates during the scan; the in-engine post-filters stay
-    as a correctness fallback for backends that ignore the hints.
-    Remaining patterns are also re-estimated under the current bindings
-    and bounds after each step, so pruning-power ordering reacts to
-    propagation.
+    Propagated identity-binding sets and temporal bounds travel *into*
+    the backend inside the spec, pruning candidates during the scan; the
+    in-engine post-filters stay as a correctness fallback for backends
+    that ignore the hints.  Remaining patterns are also re-estimated
+    under the current bindings and bounds after each step, so
+    pruning-power ordering reacts to propagation.
 
     Temporal bounds are *transitive*: a chain ``e1 before e2``, ``e2
     before e3`` narrows e3 the moment e1 executes, even though they share
@@ -179,68 +153,32 @@ class Scheduler:
     re-tightened against its partners' spans (an executed broad pattern
     shrinks retroactively once a later anchor pins the chain), so the
     bounds derived from it stop covering events that can no longer pair.
-    ``temporal_pushdown`` and ``bitmap_bindings`` (both subordinate to
-    ``pushdown``) let the ablation benchmark isolate the temporal-bounds
-    scan pushdown and the large-binding-set bitmap/bloom representation;
-    with either off, the exact post-filters carry the full restriction
-    and results are identical.
     """
 
     def __init__(self, store: StorageBackend,
                  options: EngineOptions = DEFAULT_OPTIONS) -> None:
         self._store = store
-        self._options = options
         self._prioritize = options.prioritize
         self._propagate = options.propagate
-        self._pushdown = options.pushdown
-        self._temporal = options.pushdown and options.temporal_pushdown
-        self._bitmap = options.pushdown and options.bitmap_bindings
-        self._histograms = options.histogram_estimates
-        self._projection = options.projection_pushdown
-        self._topk = options.topk_pushdown
         self._explain = options.explain
         self._verify = options.verify_plans
         self._tracer = options.tracer or NULL_TRACER
         self._trace_on = options.tracer is not None
 
-    def _spec(self, window: Window | None,
-              agentids: set[int] | None,
-              bindings: IdentityBindings | None = None,
-              bounds: TemporalBounds | None = None,
-              projection: frozenset[str] | None = None,
-              order: ScanOrder | None = None) -> ScanSpec:
-        return ScanSpec(window=window, agentids=agentids,
-                        bindings=bindings, bounds=bounds,
-                        histograms=self._histograms,
-                        projection=projection, order=order)
-
-    def run(self, plan: QueryPlan,
-            window: Window | None = None,
-            agentids: frozenset[int] | None = None) -> ScheduledMatches:
-        """Fetch and filter matches for every pattern.
-
-        ``window``/``agentids`` optionally override the plan's own bounds —
-        the parallel executor uses this to run the same plan per partition.
-        """
-        base_window = window if window is not None else plan.window
+    def run(self, plan: QueryPlan) -> ScheduledMatches:
+        """Fetch and filter matches for every pattern."""
+        window = plan.window
         started = monotonic()
         report = ExecutionReport()
 
         estimates = {
             dq.index: self._store.estimate(
-                dq.profile, self._spec(base_window, _agents(dq, agentids)))
+                dq.profile, ScanSpec(window=window, agentids=dq.agentids))
             for dq in plan.data_queries
         }
         ordered = list(plan.data_queries)
         if self._prioritize:
             ordered.sort(key=lambda dq: (estimates[dq.index], dq.index))
-
-        projections = plan.projections if self._projection else ()
-        # A pushed ScanOrder truncates at the backend; that is only sound
-        # when no post-filter can thin the survivors further (the planner
-        # already restricts it to single-pattern plans, where no bindings
-        # or bounds ever propagate — the guard below keeps it that way).
-        scan_order = plan.scan_order if self._topk else None
 
         # Binding state threaded through pattern executions.
         closure = plan.temporal_closure() if self._propagate else {}
@@ -255,14 +193,17 @@ class Scheduler:
                       if self._propagate else None)
             bindings = (self._bindings_for(dq, identity_sets)
                         if self._propagate else None)
-            spec = self._spec(base_window, _agents(dq, agentids),
-                              bindings if self._pushdown else None,
-                              bounds if self._temporal else None,
-                              projection=(projections[dq.index]
-                                          if projections else None),
-                              order=(scan_order
-                                     if bindings is None and bounds is None
-                                     else None))
+            # A pushed ScanOrder truncates at the backend; that is only
+            # sound when no post-filter can thin the survivors further
+            # (the planner already restricts it to single-pattern plans,
+            # where no bindings or bounds ever propagate — the guard here
+            # keeps it that way).
+            spec = ScanSpec(window=window, agentids=dq.agentids,
+                            bindings=bindings, bounds=bounds,
+                            projection=plan.projections[dq.index],
+                            order=(plan.scan_order
+                                   if bindings is None and bounds is None
+                                   else None))
             if self._verify:
                 # Soundness gate: re-derive what this spec may claim from
                 # the plan and the current propagation state, before the
@@ -282,8 +223,7 @@ class Scheduler:
                     survivors = [event for event in survivors
                                  if admits(event)]
                 if bounds is not None:
-                    # Same fallback for the temporal hint — and the entire
-                    # restriction when temporal pushdown is ablated off.
+                    # Same fallback for the temporal hint.
                     in_bounds = bounds.admits
                     survivors = [event for event in survivors
                                  if in_bounds(event.ts)]
@@ -320,15 +260,13 @@ class Scheduler:
                                       ts_bounds)
                 self._narrow_executed_spans(closure, ts_bounds, executed)
                 self._reorder_remaining(ordered, position, dq, estimates,
-                                        base_window, agentids,
-                                        identity_sets, closure, ts_bounds)
+                                        window, identity_sets, closure,
+                                        ts_bounds)
         report.order = [dq.event_var for dq in ordered]
         report.elapsed = monotonic() - started
         return ScheduledMatches(order=ordered, events=matches, report=report)
 
     def explain(self, plan: QueryPlan,
-                window: Window | None = None,
-                agentids: frozenset[int] | None = None,
                 ) -> list[tuple[DataQuery, int, "object"]]:
         """Static per-pattern scan decisions, without executing.
 
@@ -337,15 +275,11 @@ class Scheduler:
         execution half (actual rows) comes from running with
         ``options.explain`` on.
         """
-        base_window = window if window is not None else plan.window
-        projections = plan.projections if self._projection else ()
-        scan_order = plan.scan_order if self._topk else None
         decisions = []
         for dq in plan.data_queries:
-            spec = self._spec(base_window, _agents(dq, agentids),
-                              projection=(projections[dq.index]
-                                          if projections else None),
-                              order=scan_order)
+            spec = ScanSpec(window=plan.window, agentids=dq.agentids,
+                            projection=plan.projections[dq.index],
+                            order=plan.scan_order)
             # Diagnostic path: estimate and access_path may re-cost the
             # same scan (sqlite answers both with a COUNT); explain is
             # explicitly requested and never on the execution hot path.
@@ -358,8 +292,7 @@ class Scheduler:
 
     def _reorder_remaining(self, ordered: list[DataQuery], position: int,
                            executed: DataQuery, estimates: dict[int, int],
-                           base_window: Window | None,
-                           agentids: frozenset[int] | None,
+                           window: Window | None,
                            identity_sets: dict[str, set[tuple]],
                            closure: dict[tuple[str, str], float],
                            ts_bounds: dict[str, tuple[float, float]],
@@ -372,28 +305,25 @@ class Scheduler:
         patterns sharing a variable the just-executed pattern bound — or
         reachable from it through the temporal closure — can have changed
         cost, so only those are re-estimated.  Only worth re-sorting when
-        at least two patterns remain, and only meaningful when the
-        backend sees the hints (``pushdown``).
+        at least two patterns remain.
         """
         remaining = ordered[position + 1:]
-        if not (self._prioritize and self._pushdown and len(remaining) > 1):
+        if not (self._prioritize and len(remaining) > 1):
             return
         updated_vars = {executed.subject_var, executed.object_var}
         executed_var = executed.event_var
         changed = False
         for dq in remaining:
             temporally_linked = (
-                self._temporal
-                and ((executed_var, dq.event_var) in closure
-                     or (dq.event_var, executed_var) in closure))
+                (executed_var, dq.event_var) in closure
+                or (dq.event_var, executed_var) in closure)
             if updated_vars.isdisjoint(dq.variables) and not temporally_linked:
                 continue
             estimates[dq.index] = self._store.estimate(
-                dq.profile, self._spec(
-                    base_window, _agents(dq, agentids),
-                    self._bindings_for(dq, identity_sets),
-                    (self._bounds_for(dq, closure, ts_bounds)
-                     if self._temporal else None)))
+                dq.profile, ScanSpec(
+                    window=window, agentids=dq.agentids,
+                    bindings=self._bindings_for(dq, identity_sets),
+                    bounds=self._bounds_for(dq, closure, ts_bounds)))
             changed = True
         if not changed:
             return
@@ -502,7 +432,8 @@ class Scheduler:
             if not changed:
                 break
 
-    def _bindings_for(self, dq: DataQuery,
+    @staticmethod
+    def _bindings_for(dq: DataQuery,
                       identity_sets: dict[str, set[tuple]],
                       ) -> IdentityBindings | None:
         """Pushdown hint for one pattern from the propagated binding state."""
@@ -512,8 +443,7 @@ class Scheduler:
             return None
         return IdentityBindings(
             subjects=frozenset(subjects) if subjects is not None else None,
-            objects=frozenset(objects) if objects is not None else None,
-            compact=self._bitmap)
+            objects=frozenset(objects) if objects is not None else None)
 
     def _update_bindings(self, dq: DataQuery, events: list[Event],
                          identity_sets: dict[str, set[tuple]],
@@ -537,11 +467,19 @@ def _shallow_bytes(events: list[Event]) -> int:
     return sum(sys.getsizeof(event) for event in events)
 
 
-def _agents(dq: DataQuery,
-            override: frozenset[int] | None) -> set[int] | None:
-    own = dq.agentids
-    if override is None:
-        return set(own) if own is not None else None
-    if own is None:
-        return set(override)
-    return set(own & override)
+def execute_plan(store: StorageBackend, plan: QueryPlan,
+                 options: EngineOptions = DEFAULT_OPTIONS,
+                 ) -> tuple[list[Binding], ExecutionReport]:
+    """Run a planned multievent query: schedule the scans, then join.
+
+    ``options.row_limit`` bounds the join's intermediate rows for the
+    whole query.
+    """
+    tracer = options.tracer or NULL_TRACER
+    with tracer.span("schedule"):
+        scheduled = Scheduler(store, options).run(plan)
+    with tracer.span("join") as span:
+        rows = (join(plan, scheduled) if options.row_limit is None
+                else join(plan, scheduled, options.row_limit))
+        span.set(rows=len(rows))
+    return rows, scheduled.report

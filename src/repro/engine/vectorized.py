@@ -24,9 +24,9 @@ Ordering, ``distinct``, and ``top`` replicate
 :func:`repro.engine.executor.project_bindings` exactly: rows order by
 the composite (sort keys, ``(ts, id)``) comparator, ``distinct``
 deduplicates after ordering, and a non-distinct ``top`` uses a bounded
-heap.  With ``projection_pushdown`` the scan gathers only the consumed
-columns; with ``topk_pushdown`` the pushed :class:`ScanOrder` lets the
-backend stop materializing past the first/last N survivors.
+heap.  The scan gathers only the consumed columns, and a pushed
+:class:`~repro.storage.backend.ScanOrder` lets the backend stop
+materializing past the first/last N survivors.
 """
 
 from __future__ import annotations
@@ -81,12 +81,8 @@ def execute_vectorized(store: StorageBackend, plan: QueryPlan,
 
     started = monotonic()
     tracer = options.tracer or NULL_TRACER
-    spec = ScanSpec(
-        window=plan.window, agentids=dq.agentids,
-        histograms=options.histogram_estimates,
-        projection=(plan.projections[0] if options.projection_pushdown
-                    else None),
-        order=(plan.scan_order if options.topk_pushdown else None))
+    spec = ScanSpec(window=plan.window, agentids=dq.agentids,
+                    projection=plan.projections[0], order=plan.scan_order)
     if options.verify_plans:
         # Same soundness gate as the scheduler's, with the propagation
         # state this path never has (single pattern, nothing propagates).

@@ -52,6 +52,10 @@ def verify_spec(plan: QueryPlan, dq: DataQuery, spec: ScanSpec, *,
                 ts_bounds: dict[str, tuple[float, float]]) -> None:
     """Check one emitted spec against its plan and propagation state."""
     problems: list[str] = []
+    try:
+        hash(spec)
+    except TypeError as exc:
+        problems.append(f"spec is not hashable ({exc})")
     _check_projection(plan, dq, spec, problems)
     _check_bounds(dq, spec, closure, ts_bounds, problems)
     _check_order(plan, dq, spec, problems)

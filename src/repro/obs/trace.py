@@ -8,8 +8,7 @@ A :class:`Tracer` hands out spans through a context manager::
 
 ``tools/check_invariants.py`` enforces that every ``.span(...)`` call
 *is* a ``with`` context expression, so spans close on all exception
-paths by construction.  Span stacks are thread-local — the parallel
-executor runs sub-queries on a thread pool and each worker thread's
+paths by construction.  Span stacks are thread-local — each thread's
 spans nest independently — and every finished span records a stable
 small ``tid`` so Chrome's viewer lays the threads out as tracks.
 

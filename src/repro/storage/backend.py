@@ -215,16 +215,14 @@ class IdentityBindings:
     propagated variable has no admissible identity, so no event can match
     and backends short-circuit without touching a partition.
 
-    ``compact`` permits backends to swap per-element set probes for the
-    dense representations above :data:`BITMAP_THRESHOLD` — dictionary-code
-    :class:`Bitmap` membership in the columnar batch loop, posting-key
-    intersection in the row store.  The ablation benchmark's ``no_bitmap``
-    configuration turns it off; results are identical either way.
+    Above :data:`BITMAP_THRESHOLD` backends swap per-element set probes
+    for dense representations — dictionary-code :class:`Bitmap` /
+    :class:`BloomedSet` membership in the columnar batch loop,
+    posting-key intersection in the row store.
     """
 
     subjects: frozenset[tuple] | None = None
     objects: frozenset[tuple] | None = None
-    compact: bool = True
 
     def __bool__(self) -> bool:
         return self.subjects is not None or self.objects is not None
@@ -307,20 +305,16 @@ class ScanSpec:
 
     The scan surface used to carry its reasoning as a positional tail
     (``window, agentids, bindings, bounds``) duplicated across every
-    backend, the scheduler, the parallel executor, and the anomaly
-    engine; each new pushdown meant a five-way signature change.  A
-    ``ScanSpec`` is that reasoning as a first-class object:
+    backend, the scheduler, and the anomaly engine; each new pushdown
+    meant a five-way signature change.  A ``ScanSpec`` is that reasoning
+    as a first-class object:
 
-    * ``window`` — the query's half-open time window (header clause or a
-      parallel sub-query slice);
+    * ``window`` — the query's half-open time window (header clause);
     * ``agentids`` — the spatial restriction (``None`` = all agents);
     * ``bindings`` — propagated identity restrictions (§2.3);
     * ``bounds`` — propagated per-side-inclusive timestamp bounds;
     * ``limit`` — optional cap on returned survivors (projection/limit
       pushdown for callers that only need the first N);
-    * ``histograms`` — whether estimates may use the per-partition
-      equi-depth timestamp histograms (off = uniform-time scaling, the
-      ablation's ``no_histogram`` lever);
     * ``projection`` — the attribute columns the caller will actually
       consume (``operation``/``subject``/``object``/``amount``/
       ``failcode``/``agentid``; ``ts`` and ``id`` are always implied).
@@ -345,7 +339,6 @@ class ScanSpec:
     bindings: IdentityBindings | None = None
     bounds: TemporalBounds | None = None
     limit: int | None = None
-    histograms: bool = True
     projection: frozenset[str] | None = None
     order: ScanOrder | None = None
 

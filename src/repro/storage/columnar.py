@@ -88,8 +88,9 @@ class ColumnarPartition:
         # row) so the lazy time-sort never invalidates it; repeated queries
         # over hot rows skip re-materialization.
         self.materialized: dict[int, Event] = {}
-        # The parallel executor reads partitions from worker threads; the
-        # lazy resort must not run twice concurrently.
+        # Queries can arrive from several threads (the web UI's server,
+        # analyst reads beside the stream bus); the lazy resort must not
+        # run twice concurrently.
         self._sort_lock = threading.Lock()
         self.ids = array("q")
         self.ts = array("d")
@@ -197,18 +198,15 @@ class _BindingCodes:
     """Identity bindings translated to dictionary-code sets.
 
     ``None`` on a side means unrestricted, mirroring
-    :class:`~repro.storage.backend.IdentityBindings`.  ``compact``
-    carries the bindings' permission to compact large code sets into a
-    :class:`~repro.storage.backend.Bitmap` for the fused loop.
+    :class:`~repro.storage.backend.IdentityBindings`.
     """
 
-    __slots__ = ("subjects", "objects", "compact")
+    __slots__ = ("subjects", "objects")
 
     def __init__(self, subjects: set[int] | None,
-                 objects: set[int] | None, compact: bool = True) -> None:
+                 objects: set[int] | None) -> None:
         self.subjects = subjects
         self.objects = objects
-        self.compact = compact
 
     @property
     def empty(self) -> bool:
@@ -299,17 +297,15 @@ def _compile_row_filter(dim_items, value_items) -> Callable:
     return namespace["_row_filter"]  # type: ignore[return-value]
 
 
-def _count_codes(counter: Counter, codes: set[int],
-                 compact: bool = True) -> int:
+def _count_codes(counter: Counter, codes: set[int]) -> int:
     """Total per-code count, iterating whichever side is smaller.
 
     Binding-propagated code sets can dwarf a partition's distinct-code
     vocabulary; flipping the iteration bounds the estimation work by
     ``min(|codes|, |vocabulary|)`` — the counter-side analogue of the
-    row store's posting-key intersection, gated by the same ``compact``
-    flag so the ``no_bitmap`` ablation disables it uniformly.
+    row store's posting-key intersection.
     """
-    if compact and len(codes) > len(counter):
+    if len(codes) > len(counter):
         return sum(count for code, count in counter.items()
                    if code in codes)
     return sum(counter.get(code, 0) for code in codes)
@@ -531,7 +527,7 @@ class ColumnarEventStore:
         # estimate stays consistent with the scan it predicts.
         window = spec.clamped()
         return sum(self._estimate_partition(partition, profile, window,
-                                            binding_codes, spec.histograms)
+                                            binding_codes)
                    for partition in self._pruned(window, spec.agentids))
 
     def access_path(self, profile: PatternProfile,
@@ -590,7 +586,7 @@ class ColumnarEventStore:
         if bindings.objects is not None:
             objects = {code[identity] for identity in bindings.objects
                        if identity in code}
-        return _BindingCodes(subjects, objects, bindings.compact)
+        return _BindingCodes(subjects, objects)
 
     def _profile_atoms(self, profile: PatternProfile) -> list[Atom]:
         """Lower a PatternProfile to the equivalent atom conjunction."""
@@ -676,26 +672,19 @@ class ColumnarEventStore:
             return plan
         # Cheapest dimensions first: type/op sets are tiny, entity sets
         # larger, residual numeric tests (Python calls) last.
-        compact = binding_codes.compact if binding_codes is not None else True
         vocab_sizes = {"etypes": len(_ETYPE_NAME), "ops": len(self._ops),
                        "subjects": len(self._entities),
                        "objects": len(self._entities)}
         ordered = [(column, self._compacted(plan.dim_sets[column],
-                                            vocab_sizes[column], compact))
+                                            vocab_sizes[column]))
                    for column in ("etypes", "ops", "subjects", "objects")
                    if column in plan.dim_sets]
         plan.row_filter = _compile_row_filter(ordered, plan.value_checks)
         return plan
 
     @staticmethod
-    def _compacted(allowed: set[int], vocab_size: int, compact: bool):
+    def _compacted(allowed: set[int], vocab_size: int):
         """Large allowed-code sets become dense bitmaps for the hot loop.
-
-        ``compact`` comes from the bindings hint when one is present (the
-        ``no_bitmap`` ablation lever); a scan without propagated bindings
-        always compacts its constraint-derived (broad LIKE) sets — that
-        is a backend-internal representation choice, not part of the
-        propagation machinery under ablation.
 
         A set large enough to compact but sparse against a *huge*
         vocabulary takes the bloom tier instead: a ``Bitmap`` would
@@ -706,7 +695,7 @@ class ColumnarEventStore:
         from repro.storage.backend import (BITMAP_THRESHOLD,
                                            BLOOM_VOCAB_RATIO, Bitmap,
                                            BloomedSet)
-        if compact and len(allowed) > BITMAP_THRESHOLD:
+        if len(allowed) > BITMAP_THRESHOLD:
             if vocab_size > len(allowed) * BLOOM_VOCAB_RATIO:
                 return BloomedSet(allowed)
             return Bitmap(allowed, vocab_size)
@@ -996,12 +985,12 @@ class ColumnarEventStore:
     def _estimate_partition(self, partition: ColumnarPartition,
                             profile: PatternProfile,
                             window: Window | None,
-                            binding_codes: "_BindingCodes | None" = None,
-                            histograms: bool = True) -> int:
+                            binding_codes: "_BindingCodes | None" = None
+                            ) -> int:
         total = len(partition)
         if total == 0:
             return 0
-        windowed = window is not None and histograms
+        windowed = window is not None
         if windowed:
             in_window = partition.count_range(window.start, window.end)
             if in_window == 0:
@@ -1032,14 +1021,12 @@ class ColumnarEventStore:
             if binding_codes.subjects is not None:
                 bounds.append(_binding_bound(
                     _count_codes(partition.by_subject,
-                                 binding_codes.subjects,
-                                 binding_codes.compact),
+                                 binding_codes.subjects),
                     in_window, total, windowed))
             if binding_codes.objects is not None:
                 bounds.append(_binding_bound(
                     _count_codes(partition.by_object,
-                                 binding_codes.objects,
-                                 binding_codes.compact),
+                                 binding_codes.objects),
                     in_window, total, windowed))
         etype = (_ETYPE_CODE.get(profile.event_type)
                  if profile.event_type is not None else None)
@@ -1118,12 +1105,7 @@ class ColumnarEventStore:
 
             bounds.append(dim(("object~", etype, pattern), count,
                               _object_like_test))
-        bound = min(bounds)
-        if window is not None and not histograms and bound:
-            in_window = partition.count_range(window.start, window.end)
-            bound = min(bound, max(1, round(bound * in_window / total))
-                        if in_window else 0)
-        return bound
+        return min(bounds)
 
     @staticmethod
     def _dim_timestamps(partition: ColumnarPartition,

@@ -83,8 +83,7 @@ class PostingIndex:
                 matched.extend(events)
         return matched
 
-    def lookup_many(self, keys: Iterable[object], *,
-                    compact: bool = True) -> list[Event]:
+    def lookup_many(self, keys: Iterable[object]) -> list[Event]:
         """Union of posting lists for a set of exact keys.
 
         The access path behind identity-binding pushdown: propagated
@@ -94,24 +93,22 @@ class PostingIndex:
         order of the (hash-ordered) key set — candidate order feeds the
         joiner and must be deterministic across processes.
 
-        With ``compact`` (the default), a key set larger than the
-        partition's distinct-key vocabulary is answered by intersecting
-        the posting keys with the set instead of probing per element —
-        the row-store analogue of the columnar bitmap, bounding the work
-        by ``min(|keys|, |vocabulary|)`` however large the propagated
-        binding set grows.
+        A key set larger than the partition's distinct-key vocabulary is
+        answered by intersecting the posting keys with the set instead of
+        probing per element — the row-store analogue of the columnar
+        bitmap, bounding the work by ``min(|keys|, |vocabulary|)``
+        however large the propagated binding set grows.
         """
         merged: list[Event] = []
-        for key in self._probe_keys(keys, compact):
+        for key in self._probe_keys(keys):
             events = self._postings.get(key)
             if events:
                 merged.extend(events)
         merged.sort(key=lambda event: (event.ts, event.id))
         return merged
 
-    def _probe_keys(self, keys: Iterable[object],
-                    compact: bool) -> Iterable[object]:
-        if (compact and isinstance(keys, (set, frozenset))
+    def _probe_keys(self, keys: Iterable[object]) -> Iterable[object]:
+        if (isinstance(keys, (set, frozenset))
                 and len(keys) > len(self._postings)):
             return self._postings.keys() & keys
         return keys
@@ -120,12 +117,11 @@ class PostingIndex:
         events = self._postings.get(key)
         return len(events) if events is not None else 0
 
-    def count_many(self, keys: Iterable[object], *,
-                   compact: bool = True) -> int:
+    def count_many(self, keys: Iterable[object]) -> int:
         """Total posting size over a set of exact keys (path costing)."""
         postings = self._postings
         return sum(len(postings[key])
-                   for key in self._probe_keys(keys, compact)
+                   for key in self._probe_keys(keys)
                    if key in postings)
 
     def count_like(self, pattern: str) -> int:

@@ -192,8 +192,9 @@ class ShardedStore:
 
     ``backend`` names the single-node backend every worker hosts; any
     registered non-sharded name works (``row``/``columnar``/``sqlite``).
-    The instance is thread-safe: the engine's sub-query pool may call
-    scans concurrently, and one coordinator lock serializes RPC rounds
+    The instance is thread-safe: queries may arrive from several
+    threads (the web UI's server, analyst reads beside the stream bus),
+    and one coordinator lock serializes RPC rounds
     (workers still execute their shard's scan in parallel *within* a
     round — that is where the speedup lives).
     """

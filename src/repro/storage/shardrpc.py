@@ -24,7 +24,7 @@ vocabulary to answer a projected scan.
 Workers are always started from the ``spawn`` context (see
 :data:`SPAWN_CONTEXT`): the coordinator lives in processes that may
 already run threads (the streaming :class:`~repro.stream.bus.EventBus`,
-the engine's sub-query pool), and forking a multi-threaded process can
+the web UI's server), and forking a multi-threaded process can
 deadlock the child on locks held by threads that do not survive the
 fork.  The invariant checker bans any other start method in ``src/``.
 

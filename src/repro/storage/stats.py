@@ -9,14 +9,13 @@ type, subject name, or object value.
 Estimates are exact for exact-match constraints (they read posting sizes)
 and computed by key-space matching for LIKE patterns; both are cheap because
 the distinct-value vocabulary of audit data is small relative to event
-volume.  *Windowed* estimates no longer assume events are time-uniform
+volume.  *Windowed* estimates do not assume events are time-uniform
 inside a bucket: each constrained dimension consults a lazily built
 equi-depth timestamp histogram over its own posting list
 (:mod:`repro.storage.scanstats`), so a process whose activity clusters
 outside the window estimates near zero instead of "its share of the
-bucket".  The uniform scaling survives as the ``histograms=False``
-fallback (the ablation's ``no_histogram`` lever) and for propagated
-binding sets, whose members change per query step.
+bucket".  Uniform scaling survives only for propagated binding sets,
+whose members change per query step.
 """
 
 from __future__ import annotations
@@ -126,36 +125,33 @@ def _binding_bound(count: int, in_window: int, total: int,
 
 def estimate_partition(partition: Partition, profile: PatternProfile,
                        window: Window | None,
-                       bindings: "IdentityBindings | None" = None,
-                       histograms: bool = True) -> int:
+                       bindings: "IdentityBindings | None" = None) -> int:
     """Estimated number of events in this partition matching the profile.
 
     The estimate is the minimum across the independent per-index bounds —
     the tightest single-index bound, which is exactly the candidate-list
-    size the executor would fetch.  Without a window (or with
-    ``histograms=False``) the bounds are the raw posting sizes, scaled by
-    the window's share of the partition population under a time-uniformity
-    assumption.  With histograms, each constrained dimension instead asks
+    size the executor would fetch.  Without a window the bounds are the
+    raw posting sizes.  With one, each constrained dimension instead asks
     its own equi-depth timestamp histogram how much of *its* posting list
-    falls inside the window, so in-bucket skew stops fooling the
+    falls inside the window, so in-bucket skew does not fool the
     scheduler.  Propagated identity bindings contribute their exact
-    posting counts (uniformly scaled — binding sets are per-query-step
-    and not worth a histogram build), so pruning-power ordering reacts to
-    binding propagation either way.
+    posting counts (uniformly scaled under a window — binding sets are
+    per-query-step and not worth a histogram build), so pruning-power
+    ordering reacts to binding propagation either way.
     """
     total = len(partition)
     if total == 0:
         return 0
-    if window is not None and histograms:
+    if window is not None:
         return _estimate_windowed(partition, profile, window, bindings)
     bounds = [total]
     if bindings is not None:
         if bindings.subjects is not None:
             bounds.append(partition.by_subject_id.count_many(
-                bindings.subjects, compact=bindings.compact))
+                bindings.subjects))
         if bindings.objects is not None:
             bounds.append(partition.by_object_id.count_many(
-                bindings.objects, compact=bindings.compact))
+                bindings.objects))
     if profile.event_type is not None and profile.operations:
         bounds.append(sum(
             partition.by_type_operation.count((profile.event_type, op))
@@ -179,14 +175,7 @@ def estimate_partition(partition: Partition, profile: PatternProfile,
             for key in partition.by_object_value.keys()
             if key[0] == profile.event_type and isinstance(key[1], str)
             and like_match(profile.object_like, key[1])))
-    bound = min(bounds)
-    if window is not None and bound:
-        in_window = partition.time_index.count_range(window.start, window.end)
-        # Scale by the window's share of the partition, assuming the
-        # constrained attribute is independent of time within one bucket.
-        bound = min(bound, max(1, round(bound * in_window / total))
-                    if in_window else 0)
-    return bound
+    return min(bounds)
 
 
 def _estimate_windowed(partition: Partition, profile: PatternProfile,
@@ -201,13 +190,11 @@ def _estimate_windowed(partition: Partition, profile: PatternProfile,
     if bindings is not None:
         if bindings.subjects is not None:
             bounds.append(_binding_bound(
-                partition.by_subject_id.count_many(
-                    bindings.subjects, compact=bindings.compact),
+                partition.by_subject_id.count_many(bindings.subjects),
                 in_window, total, windowed=True))
         if bindings.objects is not None:
             bounds.append(_binding_bound(
-                partition.by_object_id.count_many(
-                    bindings.objects, compact=bindings.compact),
+                partition.by_object_id.count_many(bindings.objects),
                 in_window, total, windowed=True))
     stats = partition.stats
     for key, events_factory in _profile_postings(partition, profile):
@@ -220,8 +207,7 @@ def _estimate_windowed(partition: Partition, profile: PatternProfile,
 
 def estimate_total(partitions: list[Partition], profile: PatternProfile,
                    window: Window | None,
-                   bindings: "IdentityBindings | None" = None,
-                   histograms: bool = True) -> int:
+                   bindings: "IdentityBindings | None" = None) -> int:
     """Total estimated cardinality over a pruned partition list."""
-    return sum(estimate_partition(p, profile, window, bindings, histograms)
+    return sum(estimate_partition(p, profile, window, bindings)
                for p in partitions)

@@ -207,8 +207,7 @@ class EventStore:
         # estimate never diverges from what the scan would fetch.
         window = spec.clamped()
         return sum(
-            estimate_partition(partition, profile, window, spec.bindings,
-                               spec.histograms)
+            estimate_partition(partition, profile, window, spec.bindings)
             for partition in self._table.prune(window, spec.agentids))
 
     def access_path(self, profile: PatternProfile,
@@ -351,23 +350,18 @@ def _access_paths(partition: Partition, profile: PatternProfile,
         paths.append(AccessPath("time-range", count,
                                 lambda: partition.events_in(window)))
     if bindings is not None:
-        compact = bindings.compact
         if bindings.subjects is not None:
             subject_ids = bindings.subjects
             paths.append(AccessPath(
                 "id-postings(subject)",
-                partition.by_subject_id.count_many(subject_ids,
-                                                   compact=compact),
-                lambda: partition.by_subject_id.lookup_many(
-                    subject_ids, compact=compact)))
+                partition.by_subject_id.count_many(subject_ids),
+                lambda: partition.by_subject_id.lookup_many(subject_ids)))
         if bindings.objects is not None:
             object_ids = bindings.objects
             paths.append(AccessPath(
                 "id-postings(object)",
-                partition.by_object_id.count_many(object_ids,
-                                                  compact=compact),
-                lambda: partition.by_object_id.lookup_many(
-                    object_ids, compact=compact)))
+                partition.by_object_id.count_many(object_ids),
+                lambda: partition.by_object_id.lookup_many(object_ids)))
     if profile.subject_exact is not None:
         count = partition.by_subject_name.count(profile.subject_exact)
         paths.append(AccessPath(

@@ -15,8 +15,7 @@ Every data-loading command accepts ``--backend`` to pick the storage
 substrate the engine runs on — a single-node builtin (``row``,
 ``columnar``, ``sqlite``; default: row) or the multi-process
 scatter-gather tier (``sharded``, ``sharded(columnar)``, ... with
-``--shards N`` setting the worker fan-out) — and ``--workers N`` to pin
-the sub-query thread pool (default: sized to the machine's CPU count).
+``--shards N`` setting the worker fan-out).
 
 Event files are the JSONL archive format of
 :mod:`repro.storage.serialize` (``.gz`` compressed transparently).
@@ -167,8 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
     recover.add_argument("--backend", choices=BUILTIN_BACKENDS, default="row",
                          help="backend to rebuild into (used only if the "
                               "directory's manifest does not name one)")
-    recover.add_argument("--workers", type=_positive_int, default=None,
-                         metavar="N")
 
     alerts = commands.add_parser(
         "alerts", help="replay or acknowledge a durable session's alert log")
@@ -183,10 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
         loader.add_argument("--backend", choices=BACKEND_CHOICES,
                             default="row",
                             help="storage substrate to load events into")
-        loader.add_argument("--workers", type=_positive_int, default=None,
-                            metavar="N",
-                            help="sub-query thread-pool size (default: "
-                                 "sized to the machine's CPU count)")
         loader.add_argument("--shards", type=_positive_int, default=None,
                             metavar="N",
                             help="worker-process fan-out for the sharded "
@@ -202,10 +195,8 @@ def _query_text(argument: str) -> str:
 
 
 def _load_session(path: str, backend: str = "row",
-                  workers: int | None = None,
                   shards: int | None = None) -> AiqlSession:
-    session = AiqlSession(backend=backend, max_workers=workers,
-                          shards=shards)
+    session = AiqlSession(backend=backend, shards=shards)
     load_store(path, session.store)
     return session
 
@@ -252,8 +243,7 @@ def _dispatch(args: argparse.Namespace, stdout) -> int:
         return _run_lint(args, stdout)
 
     if args.command == "query":
-        session = _load_session(args.data, args.backend, args.workers,
-                                args.shards)
+        session = _load_session(args.data, args.backend, args.shards)
         text = _query_text(args.aiql)
         tracing = args.trace_out is not None
         if not (args.explain or args.analyze or tracing):
@@ -286,23 +276,20 @@ def _dispatch(args: argparse.Namespace, stdout) -> int:
         return _run_stats(args, stdout)
 
     if args.command == "explain":
-        session = _load_session(args.data, args.backend, args.workers,
-                                args.shards)
+        session = _load_session(args.data, args.backend, args.shards)
         print(session.explain(_query_text(args.aiql)), file=stdout)
         return 0
 
     if args.command == "repl":
         from repro.ui.cli import run
-        session = _load_session(args.data, args.backend, args.workers,
-                                args.shards)
+        session = _load_session(args.data, args.backend, args.shards)
         print(session.describe(), file=stdout)
         run(session, stdout=stdout)
         return 0
 
     if args.command == "serve":
         from repro.ui.webapp import make_server
-        session = _load_session(args.data, args.backend, args.workers,
-                                args.shards)
+        session = _load_session(args.data, args.backend, args.shards)
         server = make_server(session, args.host, args.port)
         host, port = server.server_address
         print(f"AIQL web UI on http://{host}:{port}/ — Ctrl-C to stop",
@@ -326,8 +313,7 @@ def _dispatch(args: argparse.Namespace, stdout) -> int:
         from repro.investigate import FIGURE4_QUERIES, FIGURE5_QUERIES
         catalog = (FIGURE4_QUERIES if args.catalog == "figure4"
                    else FIGURE5_QUERIES)
-        session = _load_session(args.data, args.backend, args.workers,
-                                args.shards)
+        session = _load_session(args.data, args.backend, args.shards)
         print(session.describe(), file=stdout)
         total = 0.0
         for entry in catalog:
@@ -346,11 +332,10 @@ def _dispatch(args: argparse.Namespace, stdout) -> int:
 def _render_analyze(result) -> str:
     """EXPLAIN ANALYZE body: planner estimates against measured reality.
 
-    One line per pattern (partition reports aggregated), the actual rows
-    the scan matched and the time it took next to the statistics-based
-    estimate the scheduler ordered by (the estimator predicts *matched*
-    rows — fetched shows what the access path had to hydrate to get
-    there).  The estimate-error ratio (actual / estimated) is printed
+    One line per pattern: the actual rows the scan matched and the time
+    it took next to the statistics-based estimate the scheduler ordered
+    by (the estimator predicts *matched* rows — fetched shows what the
+    access path had to hydrate to get there).  The estimate-error ratio (actual / estimated) is printed
     for every pattern and flagged when off by 4x either way — the signal
     that the per-bucket statistics have gone stale or a predicate
     defeated them.
@@ -360,7 +345,7 @@ def _render_analyze(result) -> str:
         return result.report or "(no execution report)"
     lines = ["EXPLAIN ANALYZE",
              f"pattern order: {' -> '.join(execution.order) or '(none)'}"]
-    for trace in execution.aggregated():
+    for trace in execution.patterns:
         if trace.estimate > 0:
             ratio = trace.matched / trace.estimate
             error = f"est-error=x{ratio:.2f}"
@@ -477,8 +462,7 @@ def _run_recover(args: argparse.Namespace, stdout) -> int:
     and the recovered store summary; ``--aiql`` then runs investigation
     queries directly on the recovered state.
     """
-    session = AiqlSession.recover(args.dir, backend=args.backend,
-                                  max_workers=args.workers)
+    session = AiqlSession.recover(args.dir, backend=args.backend)
     print(session.store.recovery.describe(), file=stdout)
     print(session.describe(), file=stdout)
     for text in args.aiql:

@@ -211,6 +211,31 @@ class TestIdentityPushdown:
             == [(e.id, e.ts) for e in sorted(filtered, key=lambda e: e.id)]
         assert fetched <= baseline_fetched
 
+    def test_oversized_binding_set_equals_post_filter(self, backend_name):
+        """A binding set above BITMAP_THRESHOLD and above the store's
+        vocabulary takes each backend's dense tier (bitmap, posting-key
+        intersection, SQL fallback) — same survivors as post-filtering."""
+        from repro.storage.backend import BITMAP_THRESHOLD
+        store = create_backend(backend_name)
+        writers = [ProcessEntity(1, 100 + i, f"w{i}.exe")
+                   for i in range(300)]
+        for i, writer in enumerate(writers):
+            store.record(float(i), 1, "write", writer,
+                         FileEntity(1, f"/out/{i % 9}"))
+        ghosts = [ProcessEntity(9, 900 + i, "ghost.exe") for i in range(40)]
+        bindings = IdentityBindings(subjects=frozenset(
+            entity.identity for entity in writers[:280] + ghosts))
+        assert len(bindings.subjects) > max(BITMAP_THRESHOLD, 300)
+        dq = self._dq()
+        pushed, _fetched = store.select(dq.profile, dq.compiled,
+                                        ScanSpec(bindings=bindings))
+        baseline, _ = store.select(dq.profile, dq.compiled)
+        assert (sorted(e.id for e in pushed)
+                == sorted(e.id for e in baseline if bindings.admits(e)))
+        assert len(pushed) == 280
+        assert 0 < store.estimate(dq.profile,
+                                  ScanSpec(bindings=bindings)) <= 300
+
     def test_empty_binding_set_short_circuits(self, store):
         dq = self._dq()
         spec = ScanSpec(bindings=IdentityBindings(subjects=frozenset()))
@@ -579,19 +604,6 @@ class TestHistogramEstimates:
                                                 spec)
                     assert survivors == []
 
-    def test_uniform_fallback_still_available(self, backend_name):
-        store = self._skewed_store(backend_name)
-        uniform = store.estimate(self.BULK,
-                                 ScanSpec(window=self.WINDOW,
-                                          histograms=False))
-        aware = store.estimate(self.BULK, ScanSpec(window=self.WINDOW))
-        # sqlite estimates are exact counts either way; in-memory stores
-        # must show the histogram beating the uniform assumption.
-        if store.backend_name == "sqlite":
-            assert aware == uniform == 0
-        else:
-            assert aware < uniform
-
 
 class TestEstimateParity:
     """Satellite lock-in: all backends honor agentids and window bounds
@@ -733,11 +745,9 @@ class TestTemporalBoundary:
         return session
 
     @pytest.mark.parametrize("propagate", [True, False])
-    @pytest.mark.parametrize("pushdown", [True, False])
-    def test_within_edge_event_survives(self, backend_name, propagate,
-                                        pushdown):
+    def test_within_edge_event_survives(self, backend_name, propagate):
         session = self._session(backend_name)
-        options = EngineOptions(propagate=propagate, pushdown=pushdown)
+        options = EngineOptions(propagate=propagate)
         assert session.query(self.AIQL, options).rows == [("/x",)]
 
     def test_strict_before_bound_stays_exclusive(self, backend_name):
@@ -933,22 +943,6 @@ class TestFullEngineAgreement:
         session = self._attack_session(backend_name)
         result = session.query(QUERY1)
         assert result.rows == [QUERY1_ROW]
-
-    def test_query1_pushdown_matches_post_filter(self, backend_name):
-        """Binding pushdown vs survivor post-filtering: identical rows."""
-        session = self._attack_session(backend_name)
-        pushed = session.query(QUERY1, EngineOptions(pushdown=True)).rows
-        filtered = session.query(QUERY1, EngineOptions(pushdown=False)).rows
-        assert pushed == filtered == [QUERY1_ROW]
-
-    def test_query1_histogram_toggle_is_result_invariant(self, backend_name):
-        """Histogram estimates may reorder scans, never change rows."""
-        session = self._attack_session(backend_name)
-        aware = session.query(
-            QUERY1, EngineOptions(histogram_estimates=True)).rows
-        uniform = session.query(
-            QUERY1, EngineOptions(histogram_estimates=False)).rows
-        assert aware == uniform == [QUERY1_ROW]
 
     def test_anomaly_query_agrees_with_row(self, backend_name):
         aiql = ('window = 1 min, step = 1 min\n'

@@ -164,15 +164,14 @@ class TestBitmapBindings:
                                  operations=frozenset({"write"}))
         dq = plan_multievent(parse(
             "proc p write file f as e1 return f")).data_queries[0]
-        for compact in (True, False):
-            bindings = IdentityBindings(subjects=identities,
-                                        compact=compact)
-            survivors, _fetched = store.select(
-                dq.profile, dq.compiled, ScanSpec(bindings=bindings))
-            assert len(survivors) == 300, compact
-            assert all(bindings.admits(e) for e in survivors), compact
-        assert store.estimate(profile, ScanSpec(
-            bindings=IdentityBindings(subjects=identities))) == 300
+        bindings = IdentityBindings(subjects=identities)
+        survivors, _fetched = store.select(
+            dq.profile, dq.compiled, ScanSpec(bindings=bindings))
+        baseline, _ = store.select(dq.profile, dq.compiled)
+        assert (sorted(e.id for e in survivors)
+                == sorted(e.id for e in baseline if bindings.admits(e)))
+        assert len(survivors) == 300
+        assert store.estimate(profile, ScanSpec(bindings=bindings)) == 300
 
     def test_bitmap_class_membership(self):
         from repro.storage.backend import Bitmap
@@ -205,13 +204,12 @@ class TestBloomTier:
         allowed = set(range(BITMAP_THRESHOLD + 1))
         dense_vocab = len(allowed) * BLOOM_VOCAB_RATIO
         assert isinstance(
-            ColumnarEventStore._compacted(allowed, dense_vocab, True),
-            Bitmap)
+            ColumnarEventStore._compacted(allowed, dense_vocab), Bitmap)
         assert isinstance(
-            ColumnarEventStore._compacted(allowed, dense_vocab + 1, True),
+            ColumnarEventStore._compacted(allowed, dense_vocab + 1),
             BloomedSet)
-        assert ColumnarEventStore._compacted(allowed, dense_vocab + 1,
-                                             False) is allowed
+        small = set(range(BITMAP_THRESHOLD))
+        assert ColumnarEventStore._compacted(small, dense_vocab) is small
 
     def test_bloom_row_filter_matches_set_probe(self):
         from repro.storage.backend import BloomedSet

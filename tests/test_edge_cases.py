@@ -114,7 +114,24 @@ class TestRowLimitThroughApi:
             session.query(
                 'proc a["%a.exe%"] write file f as e1\n'
                 'proc b["%b.exe%"] write file g as e2\nreturn f, g',
-                options=EngineOptions(row_limit=50, partition=False))
+                options=EngineOptions(row_limit=50))
+
+    def test_row_limit_bounds_the_whole_query_not_each_agent(self):
+        """Three agents whose joins are 25 rows each: under the limit one
+        agent at a time, over it together — the guard counts together."""
+        session = AiqlSession()
+        for agent in (1, 2, 3):
+            proc = ProcessEntity(agent, 7, "p.exe")
+            for index in range(5):
+                session.store.record(BASE_TS + index, agent, "read", proc,
+                                     FileEntity(agent, f"/in{index}"))
+                session.store.record(BASE_TS + 100 + index, agent, "write",
+                                     proc, FileEntity(agent, f"/out{index}"))
+        aiql = ('proc p read file f as e1\nproc p write file g as e2\n'
+                'with e1 before e2\nreturn f, g')
+        assert len(session.query(aiql).rows) == 75
+        with pytest.raises(ExecutionError, match="intermediate rows"):
+            session.query(aiql, options=EngineOptions(row_limit=40))
 
 
 class TestRenderEdges:

@@ -126,17 +126,10 @@ class TestProjectionErrors:
 
 
 class TestVectorizedAndTopK:
-    """The vectorized fast path and the bounded-heap ``top`` are pure
-    optimizations: every lever combination, on every backend, must
-    produce byte-identical rows — ties at the cut, null sort keys, and
-    ``top`` larger than the result included."""
-
-    LEVERS = [EngineOptions(vectorized=vectorized,
-                            projection_pushdown=projection,
-                            topk_pushdown=topk, max_workers=1)
-              for vectorized in (False, True)
-              for projection in (False, True)
-              for topk in (False, True)]
+    """The vectorized path (columnar), the general engine's bounded-heap
+    ``top`` (row) and SQL-lowered scans (sqlite) must produce
+    byte-identical rows — ties at the cut, null sort keys, and ``top``
+    larger than the result included."""
 
     @pytest.fixture
     def tied_store(self):
@@ -157,15 +150,20 @@ class TestVectorizedAndTopK:
                              amount=dup * 100)
         return store
 
-    def _matrix_rows(self, store, aiql):
+    def _rows(self, store, aiql):
+        """Rows from the row store, after checking that columnar and
+        sqlite replays of it return exactly the same."""
+        from repro.storage.backend import create_backend
         query = parse(aiql)
-        rows = [execute(store, query, options).rows
-                for options in self.LEVERS]
-        assert all(r == rows[0] for r in rows[1:])
-        return rows[0]
+        rows = execute(store, query).rows
+        for name in ("columnar", "sqlite"):
+            replay = create_backend(name)
+            replay.ingest(store.scan())
+            assert execute(replay, query).rows == rows, name
+        return rows
 
     def test_ties_at_the_top_cut(self, tied_store):
-        rows = self._matrix_rows(
+        rows = self._rows(
             tied_store, 'proc p write file f as e1\n'
                         'return f, e1.ts sort by e1.ts desc top 6')
         assert len(rows) == 6
@@ -176,7 +174,7 @@ class TestVectorizedAndTopK:
         assert rows[4][0] == "/t/0.txt" and rows[5][0] == "/t/1.txt"
 
     def test_top_larger_than_result(self, tied_store):
-        rows = self._matrix_rows(
+        rows = self._rows(
             tied_store, 'proc p write file f as e1\n'
                         'return f sort by e1.ts top 500')
         assert len(rows) == 24
@@ -186,7 +184,7 @@ class TestVectorizedAndTopK:
         composite key must rank nulls identically in the bounded heap,
         the full stable sort, and the vectorized path — nulls last
         under ``desc``, ties still broken by time order."""
-        rows = self._matrix_rows(
+        rows = self._rows(
             tied_store, 'proc p write file f as e1\n'
                         'return f, p.user sort by p.user desc top 15')
         assert len(rows) == 15
@@ -199,7 +197,7 @@ class TestVectorizedAndTopK:
     def test_projection_of_never_filtered_attribute(self, tied_store):
         """Returning an attribute no constraint mentions exercises
         projection pushdown's "carry the column anyway" path."""
-        rows = self._matrix_rows(
+        rows = self._rows(
             tied_store, 'amount >= 200\nproc p write file f as e1\n'
                         'return e1.failcode, f, e1.amount')
         assert rows
@@ -207,20 +205,15 @@ class TestVectorizedAndTopK:
         assert all(row[2] >= 200 for row in rows)
 
     def test_distinct_top_keeps_full_sort_semantics(self, tied_store):
-        rows = self._matrix_rows(
+        rows = self._rows(
             tied_store, 'proc p write file f as e1\n'
                         'return distinct f sort by e1.ts top 3')
         assert len(rows) == 3
         assert len(set(rows)) == 3
 
-    def test_matrix_agrees_across_backends(self, tied_store):
-        """The same lever matrix on columnar and sqlite replays of the
-        row store: 3 backends x 8 combinations, one row set."""
-        from repro.storage.backend import create_backend
-        aiql = ('amount >= 100\nproc p write file f as e1\n'
-                'return f, e1.amount sort by e1.ts desc top 10')
-        reference = self._matrix_rows(tied_store, aiql)
-        for name in ("columnar", "sqlite"):
-            replay = create_backend(name)
-            replay.ingest(tied_store.scan())
-            assert self._matrix_rows(replay, aiql) == reference
+    def test_filtered_descending_top(self, tied_store):
+        rows = self._rows(
+            tied_store, 'amount >= 100\nproc p write file f as e1\n'
+                        'return f, e1.amount sort by e1.ts desc top 10')
+        assert len(rows) == 10
+        assert all(row[1] >= 100 for row in rows)

@@ -52,8 +52,7 @@ def _normalized_output(tmp_path) -> str:
     data = tmp_path / "day.jsonl"
     write_events(_fixture_events(), str(data))
     out = io.StringIO()
-    code = main(["query", str(data), AIQL, "--explain", "--workers", "1"],
-                out)
+    code = main(["query", str(data), AIQL, "--explain"], out)
     assert code == 0
     return re.sub(r"\d+\.\d+ ms", "X ms", out.getvalue())
 

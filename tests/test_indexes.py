@@ -94,20 +94,20 @@ class TestPostingIndex:
 
     def test_lookup_many_intersects_oversized_key_sets(self):
         """A key set larger than the posting vocabulary flips to key
-        intersection — same merged, (ts, id)-sorted result either way."""
+        intersection — same merged, (ts, id)-sorted result as probing
+        each key."""
         index = PostingIndex()
         events = [make_event(i, float(10 - i), f"k{i % 3}")
                   for i in range(9)]
         for event in events:
             index.add(event.subject.exe_name, event)
         huge = frozenset({f"k{i}" for i in range(50)})  # 50 keys > 3 distinct
-        via_intersection = index.lookup_many(huge, compact=True)
-        via_probes = index.lookup_many(huge, compact=False)
+        via_intersection = index.lookup_many(huge)
+        via_probes = index.lookup_many(sorted(huge))   # a list: probed
         assert via_intersection == via_probes
         assert [e.ts for e in via_intersection] == sorted(
             e.ts for e in events)
-        assert (index.count_many(huge, compact=True)
-                == index.count_many(huge, compact=False) == 9)
+        assert index.count_many(huge) == index.count_many(sorted(huge)) == 9
 
 
 class TestTimeIndex:

@@ -342,7 +342,7 @@ class TestAnalyzeSurfaces:
                 if result.kind == "anomaly":
                     assert result.execution.elapsed >= 0.0
                     continue
-                patterns = result.execution.aggregated()
+                patterns = result.execution.patterns
                 assert patterns, entry.id
                 for trace in patterns:
                     assert trace.matched >= 0

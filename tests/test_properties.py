@@ -127,9 +127,7 @@ def test_optimizations_are_result_invariant(specs, source):
     reference = Counter(execute(store, query).rows)
     for options in (EngineOptions(prioritize=False),
                     EngineOptions(propagate=False),
-                    EngineOptions(partition=False),
-                    EngineOptions(prioritize=False, propagate=False,
-                                  partition=False)):
+                    EngineOptions(prioritize=False, propagate=False)):
         assert Counter(execute(store, query, options).rows) == reference, \
             f"option {options} changed results for:\n{source}"
 
@@ -138,15 +136,15 @@ def test_optimizations_are_result_invariant(specs, source):
 @given(st.lists(event_spec, min_size=1, max_size=30))
 def test_joined_rows_satisfy_all_constraints(specs):
     """Every returned binding satisfies every pattern's predicate."""
-    from repro.engine.parallel import execute_plan
     from repro.engine.planner import plan_multievent
+    from repro.engine.scheduler import execute_plan
     store = build_store(specs)
     query = parse('proc p["%alpha%"] write file f["%data%"] as e1\n'
                   'proc q read file f as e2\n'
                   'with e1 before e2\nreturn p, q, f')
     plan = plan_multievent(query)
-    result = execute_plan(store, plan)
-    for binding in result.rows:
+    bindings, _report = execute_plan(store, plan)
+    for binding in bindings:
         e1, e2 = binding["e1"], binding["e2"]
         assert e1.operation == "write" and e2.operation == "read"
         assert "alpha" in e1.subject.exe_name

@@ -16,7 +16,7 @@ from repro.storage.scanstats import (EquiDepthHistogram, FrequencySketch,
 
 
 class TestEquiDepthHistogram:
-    def test_empty_histogram_estimates_zero(self):
+    def test_empty_histogram_estimate_is_zero(self):
         histogram = EquiDepthHistogram([])
         assert histogram.total == 0
         assert histogram.estimate_range(0.0, 100.0) == 0

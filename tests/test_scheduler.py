@@ -148,17 +148,6 @@ class TestTransitiveNarrowing:
         e3_matches = scheduled.events[2]
         assert [e.ts for e in e3_matches] == [BASE_TS + 1500]
 
-    def test_chain_narrowing_never_changes_results(self):
-        store = self._chain_store()
-        plan = plan_multievent(parse(self.CHAIN))
-        for pushdown in (True, False):
-            for temporal_pushdown in (True, False):
-                scheduled = Scheduler(store, EngineOptions(
-                    pushdown=pushdown,
-                    temporal_pushdown=temporal_pushdown)).run(plan)
-                assert ([e.ts for e in scheduled.events[2]]
-                        == [BASE_TS + 1500]), (pushdown, temporal_pushdown)
-
     def test_within_delays_add_along_the_chain(self):
         """``e1 before e2 within 10`` + ``e2 before e3 within 10`` bounds
         e3 to ``(e1.ts, e1.ts + 20]`` — the summed inclusive edge must
@@ -270,8 +259,6 @@ class TestIntervalNarrowing:
         plan = plan_multievent(parse(self.WITHIN_CHAIN))
         reference = None
         for options in (EngineOptions(),
-                        EngineOptions(pushdown=False),
-                        EngineOptions(temporal_pushdown=False),
                         EngineOptions(propagate=False)):
             scheduled = Scheduler(store, options).run(plan)
             from repro.engine.joiner import join
@@ -286,25 +273,18 @@ class TestIntervalNarrowing:
 
 
 class TestPushdown:
-    def test_pushdown_matches_post_filter(self, store):
-        plan = plan_multievent(parse(QUERY))
-        pushed = Scheduler(store, EngineOptions(pushdown=True)).run(plan)
-        filtered = Scheduler(store, EngineOptions(pushdown=False)).run(plan)
-        for dq in plan.data_queries:
-            assert ({e.id for e in pushed.events[dq.index]}
-                    == {e.id for e in filtered.events[dq.index]})
-
     def test_pushdown_shrinks_fetch(self, store):
-        """With pushdown the backend never fetches the 301 writes that the
-        post-filter variant materializes before discarding."""
+        """The propagated bindings reach the backend: it never fetches
+        the 301 writes an unrestricted scan materializes."""
         plan = plan_multievent(parse(QUERY))
-        pushed = Scheduler(store, EngineOptions(pushdown=True)).run(plan)
-        filtered = Scheduler(store, EngineOptions(pushdown=False)).run(plan)
+        pushed = Scheduler(store).run(plan)
+        unrestricted = Scheduler(store,
+                                 EngineOptions(propagate=False)).run(plan)
         fetched_pushed = {t.event_var: t.fetched
                           for t in pushed.report.patterns}
-        fetched_filtered = {t.event_var: t.fetched
-                            for t in filtered.report.patterns}
-        assert fetched_pushed["e1"] < fetched_filtered["e1"]
+        fetched_unrestricted = {t.event_var: t.fetched
+                                for t in unrestricted.report.patterns}
+        assert fetched_pushed["e1"] < fetched_unrestricted["e1"]
 
     def test_bindings_reorder_remaining_patterns(self):
         """Re-estimation under propagated bindings flips the order of the
@@ -332,12 +312,17 @@ class TestPushdown:
         # /secret, e3 collapses to 1 and must jump ahead of e2.
         adaptive = Scheduler(store).run(plan)
         assert adaptive.report.order == ["e1", "e3", "e2"]
-        static = Scheduler(store, EngineOptions(pushdown=False)).run(plan)
+        static = Scheduler(store, EngineOptions(propagate=False)).run(plan)
         assert static.report.order == ["e1", "e2", "e3"]
-        # Either order produces the same per-pattern matches.
-        for dq in plan.data_queries:
-            assert ({e.id for e in adaptive.events[dq.index]}
-                    == {e.id for e in static.events[dq.index]})
+        # Either order joins to the same rows.
+        from repro.engine.joiner import join
+
+        def joined(scheduled):
+            return sorted(tuple(binding[dq.event_var].id
+                                for dq in plan.data_queries)
+                          for binding in join(plan, scheduled))
+
+        assert joined(adaptive) == joined(static)
 
 
 class TestReport:

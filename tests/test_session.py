@@ -39,7 +39,7 @@ class TestQueryFlow:
     def test_per_query_option_override(self):
         session = AiqlSession(store=make_exfil_store())
         result = session.query(QUERY1,
-                               options=EngineOptions(partition=False))
+                               options=EngineOptions(propagate=False))
         assert result.rows == [QUERY1_ROW]
 
 

@@ -1,8 +1,12 @@
-"""Plan-soundness verification: the catalogs pass, corrupted specs fail.
+"""One execution path, checked against an independent reference; and the
+plan-soundness verifier: sound specs pass, corrupted specs fail.
 
-Positive direction: with ``EngineOptions.verify_plans`` on, every
-figure-4/figure-5 catalog query executes cleanly on every storage backend
-under each optimizer-lever combination — the scheduler never emits a
+Differential: every figure-4/figure-5 catalog query and the IOC-free hunt
+set (joins, ``%like%``, ``top N``, anomaly, dependency) returns, on every
+storage backend, with and without ``EngineOptions.verify_plans``, exactly
+the rows of the row store run with ``prioritize=False, propagate=False``
+— declaration order, unrestricted scans, the join doing all the work.
+With ``verify_plans`` on, the scheduler also never emits a
 :class:`~repro.storage.backend.ScanSpec` the independent re-derivation in
 :mod:`repro.engine.verify` rejects.  Negative direction: hand-corrupted
 specs (dropped projection columns, over-tight bounds, unjustified order
@@ -20,6 +24,7 @@ import os
 
 import pytest
 
+from aiqlbench.hunt_queries import HUNT_QUERIES
 from repro.engine.executor import execute
 from repro.engine.options import EngineOptions
 from repro.engine.planner import plan_multievent
@@ -30,67 +35,73 @@ from repro.lang.parser import parse
 from repro.storage.backend import (IdentityBindings, ScanOrder, ScanSpec,
                                    TemporalBounds, create_backend)
 
-ALL_BACKENDS = ("row", "columnar", "sqlite")
+ALL_BACKENDS = ("row", "columnar", "sqlite", "sharded(columnar)")
 
 BACKENDS = tuple(
     name for name in os.environ.get("REPRO_CONTRACT_BACKENDS",
                                     ",".join(ALL_BACKENDS)).split(",")
     if name) or ALL_BACKENDS
 
-#: Each lever combination exercises a different spec-derivation path in
-#: the scheduler (post-filter fallbacks, vectorized fast path, no
-#: propagation state, serial execution ...); the verifier must accept
-#: the emitted specs under all of them.
-LEVERS = {
-    "default": EngineOptions(verify_plans=True),
-    "no-pushdown": EngineOptions(verify_plans=True, pushdown=False),
-    "no-temporal": EngineOptions(verify_plans=True, temporal_pushdown=False),
-    "no-bitmap": EngineOptions(verify_plans=True, bitmap_bindings=False),
-    "no-vectorized": EngineOptions(verify_plans=True, vectorized=False),
-    "no-projection": EngineOptions(verify_plans=True,
-                                   projection_pushdown=False),
-    "no-topk": EngineOptions(verify_plans=True, topk_pushdown=False),
-    "no-propagate": EngineOptions(verify_plans=True, propagate=False),
-    "serial": EngineOptions(verify_plans=True, prioritize=False,
-                            partition=False),
+CONFIGS = {
+    "default": EngineOptions(),
+    "verify": EngineOptions(verify_plans=True),
 }
+
+#: Neither scheduling lever: the reference every other run must equal.
+REFERENCE = EngineOptions(prioritize=False, propagate=False)
+
+#: ``(scenario, query id, AIQL)`` — the hunt set runs on the demo day.
+QUERIES = (
+    [("demo", entry.id, entry.aiql) for entry in FIGURE4_QUERIES]
+    + [("case2", entry.id, entry.aiql) for entry in FIGURE5_QUERIES]
+    + [("demo", qid, aiql) for qid, aiql in HUNT_QUERIES])
+
+
+@pytest.fixture(scope="module")
+def scenarios(demo_scenario, case2_scenario):
+    return {"demo": demo_scenario, "case2": case2_scenario}
+
+
+@pytest.fixture(scope="module")
+def reference_rows(scenarios):
+    """Rows per query from the row store with both levers off."""
+    stores = {}
+    for name, scenario in scenarios.items():
+        stores[name] = create_backend("row")
+        scenario.load(stores[name])
+    return {qid: execute(stores[name], parse(aiql), REFERENCE).rows
+            for name, qid, aiql in QUERIES}
 
 
 @pytest.fixture(params=BACKENDS, scope="module")
-def backend_name(request) -> str:
-    return request.param
+def stores(request, scenarios):
+    loaded = {}
+    for name, scenario in scenarios.items():
+        loaded[name] = create_backend(request.param)
+        scenario.load(loaded[name])
+    yield loaded
+    for store in loaded.values():
+        close = getattr(store, "close", None)
+        if close is not None:
+            close()
 
 
-@pytest.fixture(scope="module")
-def demo_store(backend_name, demo_scenario):
-    store = create_backend(backend_name)
-    demo_scenario.load(store)
-    return store
+@pytest.mark.parametrize("config", list(CONFIGS))
+@pytest.mark.parametrize("scenario,qid,aiql", QUERIES,
+                         ids=[qid for _name, qid, _aiql in QUERIES])
+def test_rows_equal_the_lever_free_reference(scenario, qid, aiql, config,
+                                             stores, reference_rows):
+    result = execute(stores[scenario], parse(aiql), CONFIGS[config])
+    assert result.rows == reference_rows[qid]
 
 
-@pytest.fixture(scope="module")
-def case2_store(backend_name, case2_scenario):
-    store = create_backend(backend_name)
-    case2_scenario.load(store)
-    return store
-
-
-def _run_under_all_levers(store, entry):
-    query = parse(entry.aiql)
-    baseline = execute(store, query)
-    for name, options in LEVERS.items():
-        result = execute(store, query, options)
-        assert result.rows == baseline.rows, f"{entry.id} under {name}"
-
-
-@pytest.mark.parametrize("entry", list(FIGURE4_QUERIES), ids=lambda e: e.id)
-def test_figure4_catalog_verifies(entry, demo_store):
-    _run_under_all_levers(demo_store, entry)
-
-
-@pytest.mark.parametrize("entry", list(FIGURE5_QUERIES), ids=lambda e: e.id)
-def test_figure5_catalog_verifies(entry, case2_store):
-    _run_under_all_levers(case2_store, entry)
+def test_reference_is_not_vacuous(reference_rows):
+    """Most queries of each set return rows at the test scale."""
+    for queries in (FIGURE4_QUERIES, FIGURE5_QUERIES):
+        ids = [entry.id for entry in queries]
+        assert sum(bool(reference_rows[qid]) for qid in ids) > len(ids) // 2
+    hunt = [qid for qid, _aiql in HUNT_QUERIES]
+    assert sum(bool(reference_rows[qid]) for qid in hunt) > len(hunt) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +118,8 @@ class TestVerifierIsWired:
             return real(plan, dq, spec, **state)
         monkeypatch.setattr(verify_mod, "verify_spec", spy)
         from tests.conftest import QUERY1
-        exfil_session.query(
-            QUERY1, options=EngineOptions(verify_plans=True,
-                                          vectorized=False))
+        exfil_session.query(QUERY1,
+                            options=EngineOptions(verify_plans=True))
         assert len(calls) >= 4  # one spec per executed pattern, at least
 
     def test_vectorized_path_calls_verifier(self, monkeypatch):

@@ -35,13 +35,22 @@ alongside ruff/mypy and runnable anywhere Python is (no dependencies):
 ``spawn-only``
     Worker processes must come from the ``spawn`` multiprocessing
     context.  The coordinator process may already run threads (the
-    streaming ``EventBus`` delivery thread, the engine's sub-query
-    pool), and ``fork()`` in a threaded process clones locks whose
+    streaming ``EventBus`` delivery thread, the web UI's server), and
+    ``fork()`` in a threaded process clones locks whose
     owning threads do not survive — a child deadlocked on a copied
     mutex.  Bans ``get_context()`` with any argument other than the
     literal ``"spawn"`` and direct ``multiprocessing.Process`` /
     ``Pool`` / ``Pipe`` construction (which use the platform default,
     ``fork`` on Linux); go through ``shardrpc.SPAWN_CONTEXT``.
+
+``one-path``
+    The engine has one execution path and two levers.  The
+    ``EngineOptions`` fields whose default is ``True`` must be exactly
+    ``prioritize`` and ``propagate`` (an optimisation that is always on
+    needs no option; one that does not pay is deleted), and nothing under
+    ``repro/engine/`` may import ``concurrent.futures`` — parallelism
+    belongs to storage partitions and the sharded tier's processes, not
+    to a second in-process dispatch of the same plan.
 
 ``mutable-default``
     No mutable default arguments (``def f(x, acc=[])``), the classic
@@ -74,6 +83,9 @@ SCAN_SPEC_MODULES = ("repro/storage/sharded.py", "repro/storage/shardrpc.py")
 #: Directories (relative to src/repro) where direct clock reads are
 #: banned — these read time only through ``repro.obs.clock.monotonic``.
 CLOCK_FREE = ("engine", "stream", "storage")
+
+#: The only ``EngineOptions`` fields allowed to default to ``True``.
+LEVERS = {"prioritize", "propagate"}
 
 #: Process/pipe constructors that implicitly use the platform-default
 #: start method (``fork`` on Linux) when called on the bare module.
@@ -141,12 +153,45 @@ class Checker(ast.NodeVisitor):
                                   for name in CLOCK_FREE)
                               and "repro/obs/" not in posix)
         self._with_spans: set[int] = set()
-        self.in_engine = ("repro/engine/" in posix
+        self.in_engine_dir = "repro/engine/" in posix
+        self.in_engine = (self.in_engine_dir
                           or any(posix.endswith(module)
                                  for module in SCAN_SPEC_MODULES))
 
     def report(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append((node.lineno, rule, message))
+
+    # -- one path: two levers, no thread pool in the engine ----------------
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        if self.in_engine_dir and node.name == "EngineOptions":
+            on = {stmt.target.id for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name)
+                  and isinstance(stmt.value, ast.Constant)
+                  and stmt.value.value is True}
+            if on != LEVERS:
+                self.report(node, "one-path",
+                            f"EngineOptions fields defaulting to True are "
+                            f"{sorted(on)}, expected {sorted(LEVERS)} — "
+                            f"make a new optimisation unconditional "
+                            f"instead of adding a lever")
+        self.generic_visit(node)
+
+    def _check_engine_import(self, node: ast.stmt, modules: list[str]) -> None:
+        if self.in_engine_dir and any(
+                module.split(".")[:2] == ["concurrent", "futures"]
+                for module in modules):
+            self.report(node, "one-path",
+                        "concurrent.futures imported under repro/engine/ — "
+                        "the engine runs one plan on one thread")
+
+    def visit_Import(self, node: ast.Import) -> None:
+        self._check_engine_import(node, [alias.name for alias in node.names])
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        module = node.module or ""
+        self._check_engine_import(
+            node, [f"{module}.{alias.name}" for alias in node.names])
 
     # -- mutable defaults --------------------------------------------------
     def _check_defaults(self, node) -> None:
@@ -226,7 +271,7 @@ class Checker(ast.NodeVisitor):
                 self.report(node, "spawn-only",
                             "get_context() must request the literal "
                             "'spawn' start method — fork after threads "
-                            "(EventBus, sub-query pool) deadlocks")
+                            "(EventBus, web UI server) deadlocks")
         elif (len(dotted) >= 2 and dotted[0] == "multiprocessing"
               and dotted[-1] in FORKING_CONSTRUCTORS):
             self.report(node, "spawn-only",
