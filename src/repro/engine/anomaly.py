@@ -6,32 +6,41 @@ filters."  The filters may reference *historical* aggregate results
 (``amt[1]``), which is what lets AIQL express frequency-based anomaly
 models such as moving averages.
 
-Execution pipeline:
+Execution pipeline — its cost follows the matched events and the scored
+(pane, group) pairs, not panes times events:
 
-1. fetch the pattern's matching events (reusing the multievent planner and
-   ``execute_plan``);
-2. enumerate sliding windows over the query's time window;
-3. per window, group events (``group by``) and evaluate each return-clause
-   aggregate per group;
-4. record aggregates into the per-group history ring, then evaluate the
-   ``having`` expression — emitting one result row per (window, group) that
-   satisfies it.
+1. scan the pattern's matches *once* into rows ``(ts, id, group key,
+   display values, one value per aggregate)`` — from ``select_batches``
+   column slices when the backend offers them (no ``Event`` is hydrated),
+   through the multievent planner and ``execute_plan`` otherwise;
+2. order the rows by ``(ts, id)`` and split them into per-group columns:
+   ``ts`` plus one value list per aggregate;
+3. enumerate sliding windows over the query's time window; per pane, each
+   group that has events in it bisects its ``ts`` column and hands value
+   *slices* to :meth:`AnomalyWindowEvaluator.score`;
+4. ``score`` records the aggregates into the per-group history ring, then
+   evaluates the ``having`` expression (compiled to closures once per
+   query) — emitting one result row per (window, group) that satisfies it.
 
 Groups keep being evaluated after they stop producing events (with
 empty-set aggregate values) so that spike-then-silence patterns and decays
 remain expressible; a group is only evaluated after it first appears.
+Once a silent group's aggregates and history ring are constant its verdict
+is cached, and runs of panes that hold no event while every known group is
+cached as "does not pass" are stepped over without scoring.
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
-from typing import Callable
+import operator
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from typing import Callable, Collection, Sequence
 
 from repro.errors import SemanticError
 from repro.lang.ast import (AggCall, AnomalyQuery, BinOp, Expr, HistoryRef,
                             Literal, MultieventQuery, NotOp, ReturnItem,
-                            VarRef, expr_history_refs)
+                            VarRef, expr_aggregates, expr_history_refs)
 from repro.model.entities import DEFAULT_ATTRIBUTE, canonical_attribute
 from repro.model.events import Event, canonical_event_attribute
 from repro.model.timeutil import Window, format_timestamp, sliding_windows
@@ -39,9 +48,22 @@ from repro.obs.clock import monotonic
 from repro.obs.trace import NULL_TRACER
 from repro.engine.aggregates import GroupHistory, aggregate
 from repro.engine.options import DEFAULT_OPTIONS, EngineOptions
-from repro.engine.planner import plan_multievent
-from repro.engine.scheduler import ExecutionReport, execute_plan
-from repro.storage.backend import StorageBackend
+from repro.engine.planner import QueryPlan, plan_multievent
+from repro.engine.scheduler import (ExecutionReport, execute_plan,
+                                    scan_report)
+from repro.storage.backend import ColumnBatch, ScanSpec, StorageBackend
+
+#: One matched event as the window driver consumes it:
+#: ``(ts, id, group key, display values, *one value per value column)``.
+MatchRow = tuple
+
+#: Where a referenced value lives: ``("event" | "subject" | "object",
+#: attribute)``; ``None`` is the constant 1 ``count(*)`` counts.
+ValueSource = tuple[str, str] | None
+
+#: A compiled ``having`` node: ``(group key, the pane's recorded
+#: aggregates, the group's value slices for the pane) -> value``.
+HavingNode = Callable[[tuple, dict, Sequence[Sequence]], object]
 
 
 @dataclass
@@ -51,16 +73,31 @@ class AnomalyOutput:
     report: ExecutionReport
 
 
+@dataclass(slots=True)
+class _Group:
+    """What the §2.2.3 semantics remember about one group between panes."""
+
+    display: tuple          # group-by display values of its first event
+    rank: int               # first-appearance order (result row order)
+    empty_streak: int = 0   # consecutive scored panes without an event
+    #: Steady-state cache: after ``history_depth`` consecutive empty panes
+    #: a group's aggregates and history ring are constant, so the having
+    #: decision is too — ``()`` for "does not pass", else the passing
+    #: row's cells (never empty: there is at least one aggregate).
+    steady: tuple | None = None
+
+
 class AnomalyWindowEvaluator:
     """Per-window evaluation state of one anomaly query.
 
     One instance owns everything the §2.2.3 semantics thread *between*
     windows — known groups, per-group aggregate history, empty-streak
-    steady-state caches — while :meth:`evaluate` scores a single window
-    pane.  The batch executor drives it over ``sliding_windows`` of the
-    final span; the continuous-query runtime drives the *same* instance
-    incrementally as the watermark closes panes, which is what makes
-    stream and batch results identical by construction.
+    steady-state caches — while :meth:`score` scores a single window
+    pane from per-group value slices.  The batch executor slices
+    per-group columns over ``sliding_windows`` of the final span; the
+    continuous-query runtime drives the *same* instance incrementally
+    through :meth:`evaluate` as the watermark closes panes, which is what
+    makes stream and batch results identical by construction.
     """
 
     def __init__(self, query: AnomalyQuery) -> None:
@@ -68,126 +105,265 @@ class AnomalyWindowEvaluator:
             raise SemanticError(
                 "anomaly queries aggregate over exactly one event pattern")
         self.query = query
-        self.pattern = query.patterns[0]
+        self.pattern = pattern = query.patterns[0]
         self.columns = ["window"] + [item.name for item in query.return_items]
-        self._group_getters = _group_getters(query, self.pattern)
-        self._display_getters = _display_getters(query, self.pattern)
-        self._agg_specs = _aggregate_specs(query, self.pattern)
+        self.key_sources = [_resolve(pattern, ref, identity=True)
+                            for ref in query.group_by]
+        self.display_sources = [_resolve(pattern, ref, identity=False)
+                                for ref in query.group_by]
+        # One value column per return-clause aggregate (recorded in the
+        # history ring), then one per aggregate only the having reads.
+        self._recorded = _recorded_aggregates(query)
+        aliases = {alias for alias, _call in self._recorded}
+        extras = _having_only_aggregates(query, aliases)
+        self.value_sources = [
+            _argument_source(pattern, call)
+            for call in [call for _alias, call in self._recorded] + extras]
+        self._key_getters = [_event_getter(s) for s in self.key_sources]
+        self._display_getters = [_event_getter(s)
+                                 for s in self.display_sources]
+        self._value_getters = [_event_getter(s) for s in self.value_sources]
+        self._no_values: tuple[tuple, ...] = ((),) * len(self.value_sources)
         self._history_depth = _history_depth(query)
         self._history = GroupHistory(self._history_depth)
-        self._evaluator = _HavingEvaluator(query, self.pattern, self._history)
-        self._known_groups: dict[tuple, tuple] = {}  # key -> display values
-        # Steady-state fast path: after `history_depth` consecutive empty
-        # windows a group's aggregates and history ring are constant, so
-        # the having decision is too — cache it and skip re-evaluation.
-        self._empty_streak: dict[tuple, int] = {}
-        self._steady_state: dict[tuple, tuple] = {}  # key -> (passes, cells)
+        self._having = (None if query.having is None else _compile_having(
+            query.having, query, self._history, aliases,
+            {str(call): len(self._recorded) + index
+             for index, call in enumerate(extras)}))
+        self._groups: dict[tuple, _Group] = {}   # known, in rank order
+        # Known groups a pane must look at even without an event of
+        # theirs in it: all but those cached as "does not pass".
+        self._live: set[tuple] = set()
+
+    @property
+    def quiescent(self) -> bool:
+        """True when a pane without events scores to ``[]`` and changes
+        nothing a later pane reads."""
+        return not self._live
+
+    def register(self, key: tuple, display: tuple) -> None:
+        """Make a group known; call in first-appearance order."""
+        if key not in self._groups:
+            self._groups[key] = _Group(display, len(self._groups))
+
+    def match_row(self, event: Event) -> MatchRow:
+        """One matched event in the form the window driver consumes."""
+        return (event.ts, event.id,
+                tuple(getter(event) for getter in self._key_getters),
+                tuple(getter(event) for getter in self._display_getters),
+                *(getter(event) for getter in self._value_getters))
 
     def evaluate(self, window: Window, events: list[Event]) -> list[tuple]:
         """Score one window pane; ``events`` are the in-window matches
         in ``(ts, id)`` order.  Returns the emitted result rows."""
-        query = self.query
-        rows: list[tuple] = []
-        by_group: dict[tuple, list[Event]] = {}
+        active: dict[tuple, list[list]] = {}
         for event in events:
-            key = tuple(getter(event) for getter in self._group_getters)
-            by_group.setdefault(key, []).append(event)
-            if key not in self._known_groups:
-                self._known_groups[key] = tuple(
-                    getter(event) for getter in self._display_getters)
-        for key in self._known_groups:
-            group_events = by_group.get(key, [])
-            if group_events:
-                self._empty_streak[key] = 0
-                self._steady_state.pop(key, None)
+            key = tuple(getter(event) for getter in self._key_getters)
+            slices = active.get(key)
+            if slices is None:
+                slices = active[key] = [[] for _ in self._value_getters]
+                self.register(key, tuple(getter(event) for getter
+                                         in self._display_getters))
+            for column, getter in zip(slices, self._value_getters):
+                column.append(getter(event))
+        return self.score(window, active)
+
+    def score(self, window: Window,
+              active: dict[tuple, Sequence[Sequence]]) -> list[tuple]:
+        """Score one pane from its per-group value slices.
+
+        ``active`` maps each group with events in the pane to one value
+        sequence per value column, events in ``(ts, id)`` order; its
+        groups must already be registered.  Returns the emitted rows,
+        in group first-appearance order.
+        """
+        live, groups = self._live, self._groups
+        keys: Collection[tuple] = (active.keys() | live if live
+                                   else active.keys())
+        if len(keys) > 1:
+            keys = sorted(keys, key=lambda key: groups[key].rank)
+        rows: list[tuple] = []
+        for key in keys:
+            group = groups[key]
+            slices = active.get(key)
+            if slices is not None:
+                group.empty_streak = 0
+                group.steady = None
+                live.add(key)
+            elif group.steady is not None:
+                rows.append((format_timestamp(window.start),) + group.steady)
+                continue
             else:
-                streak = self._empty_streak.get(key, 0) + 1
-                self._empty_streak[key] = streak
-                cached = self._steady_state.get(key)
-                if cached is not None:
-                    passes, cells = cached
-                    if passes:
-                        rows.append((format_timestamp(window.start),)
-                                    + cells)
-                    continue
+                group.empty_streak += 1
+                slices = self._no_values
             current: dict[str, object] = {}
-            for alias, func, arg_getter in self._agg_specs:
-                values = [arg_getter(evt) for evt in group_events]
-                value = aggregate(func, values)
+            for (alias, call), values in zip(self._recorded, slices):
+                value = aggregate(call.func, values)
                 self._history.record(key, alias, value)
                 current[alias] = value
-            passes = (query.having is None
-                      or self._evaluator.passes(key, group_events, current))
+            passes = self._having is None or _truth(
+                self._having(key, current, slices))
             if passes:
-                row = _render_row(window, query, key,
-                                  self._known_groups[key], current,
-                                  self._group_getters)
+                row = _render_row(window, self.query, group.display, current)
                 rows.append(row)
-            if not group_events and self._empty_streak[key] >= self._history_depth:
-                cells = (_render_row(window, query, key,
-                                     self._known_groups[key], current,
-                                     self._group_getters)[1:]
-                         if passes else ())
-                self._steady_state[key] = (passes, cells)
+            if (slices is self._no_values
+                    and group.empty_streak >= self._history_depth):
+                if passes:
+                    group.steady = row[1:]
+                else:
+                    group.steady = ()
+                    live.discard(key)
         return rows
 
 
 def execute_anomaly(store: StorageBackend, query: AnomalyQuery,
                     options: EngineOptions = DEFAULT_OPTIONS,
                     ) -> AnomalyOutput:
-    """Run an anomaly query against the store."""
+    """Run an anomaly query against the store.
+
+    The returned report carries the pattern's scan (estimate, fetched,
+    matched, path under ``explain``) whichever source served it.
+    """
     started = monotonic()
     tracer = options.tracer or NULL_TRACER
     evaluator = AnomalyWindowEvaluator(query)
+    pattern = query.patterns[0]
+    plan = plan_multievent(MultieventQuery(
+        header=query.header, patterns=query.patterns, temporal=(),
+        return_items=(ReturnItem(VarRef(pattern.event_var)),)))
 
-    events = _fetch_events(store, query, options)
-    events.sort(key=lambda evt: (evt.ts, evt.id))
-    timestamps = [evt.ts for evt in events]
+    if hasattr(store, "select_batches"):
+        matches, report = _scan_columns(store, plan, evaluator, options)
+    else:
+        events, report = _fetch_events(store, plan, options)
+        matches = [evaluator.match_row(event) for event in events]
+    matches.sort(key=operator.itemgetter(0, 1))
 
     span = query.header.window or store.span
-    if span is None:
-        report = ExecutionReport()
-        report.elapsed = monotonic() - started
-        return AnomalyOutput(columns=evaluator.columns, rows=[],
-                             report=report)
-
     rows: list[tuple] = []
-    with tracer.span("windows", events=len(events)) as window_span:
-        panes = 0
-        for window in sliding_windows(span, query.window_spec.width,
-                                      query.window_spec.step):
-            panes += 1
-            lo = bisect.bisect_left(timestamps, window.start)
-            hi = bisect.bisect_left(timestamps, window.end)
-            rows.extend(evaluator.evaluate(window, events[lo:hi]))
-        window_span.set(panes=panes, rows=len(rows))
-    report = ExecutionReport()
+    if span is not None:
+        with tracer.span("windows", events=len(matches)) as window_span:
+            rows, panes = _run_windows(evaluator, matches, span)
+            window_span.set(panes=panes, rows=len(rows))
     report.joined_rows = len(rows)
     report.elapsed = monotonic() - started
     return AnomalyOutput(columns=evaluator.columns, rows=rows, report=report)
 
 
+def _run_windows(evaluator: AnomalyWindowEvaluator, matches: list[MatchRow],
+                 span: Window) -> tuple[list[tuple], int]:
+    """Drive the evaluator over the span's panes: ``(rows, pane count)``.
+
+    ``matches`` are in ``(ts, id)`` order.  They are split once into
+    per-group columns; a pane then costs two bisects per group that has
+    events in it, and a pane inside a quiet run costs one comparison.
+    """
+    spec = evaluator.query.window_spec
+    values = len(evaluator.value_sources)
+    all_ts, _ids, key_of, display_of, *value_columns = (
+        zip(*matches) if matches else [()] * (4 + values))
+    numbers: dict[tuple, int] = {}
+    group_of = [numbers.setdefault(key, len(numbers)) for key in key_of]
+    keys = list(numbers)
+    group_ts = _split(group_of, all_ts, len(keys))
+    group_values = [_split(group_of, column, len(keys))
+                    for column in value_columns]
+    registered: set[int] = set()
+    quiet_until = float("-inf")
+    rows: list[tuple] = []
+    panes = 0
+    for window in sliding_windows(span, spec.width, spec.step):
+        panes += 1
+        if window.end <= quiet_until:
+            continue
+        lo = bisect_left(all_ts, window.start)
+        hi = bisect_left(all_ts, window.end, lo)
+        if lo == hi and evaluator.quiescent:
+            # Nothing to score until the next event falls into a pane.
+            quiet_until = all_ts[hi] if hi < len(all_ts) else float("inf")
+            continue
+        active: dict[tuple, list[list]] = {}
+        for number in dict.fromkeys(group_of[lo:hi]):
+            key = keys[number]
+            if number not in registered:
+                registered.add(number)
+                evaluator.register(
+                    key, display_of[group_of.index(number, lo, hi)])
+            ts = group_ts[number]
+            first = bisect_left(ts, window.start)
+            last = bisect_left(ts, window.end, first)
+            active[key] = [column[number][first:last]
+                           for column in group_values]
+        rows.extend(evaluator.score(window, active))
+    return rows, panes
+
+
+def _split(group_of: list[int], column: Sequence,
+           groups: int) -> list[list]:
+    """One column's values per group, each in the column's order."""
+    parts: list[list] = [[] for _ in range(groups)]
+    for number, value in zip(group_of, column):
+        parts[number].append(value)
+    return parts
+
+
 # ---------------------------------------------------------------------------
-# Event fetching (reuses the multievent machinery on a 1-pattern plan)
+# Match sources
 # ---------------------------------------------------------------------------
 
-def _fetch_events(store: StorageBackend, query: AnomalyQuery,
-                  options: EngineOptions) -> list[Event]:
-    pattern = query.patterns[0]
-    wrapper = MultieventQuery(
-        header=query.header, patterns=query.patterns, temporal=(),
-        return_items=(ReturnItem(VarRef(pattern.event_var)),))
-    plan = plan_multievent(wrapper)
+def _scan_columns(store: StorageBackend, plan: QueryPlan,
+                  evaluator: AnomalyWindowEvaluator, options: EngineOptions,
+                  ) -> tuple[list[MatchRow], ExecutionReport]:
+    """Match rows straight from column batches: only the columns the
+    query reads are gathered and no ``Event`` is hydrated."""
+    started = monotonic()
+    tracer = options.tracer or NULL_TRACER
+    dq = plan.data_queries[0]
+    sources = (evaluator.key_sources + evaluator.display_sources
+               + evaluator.value_sources)
+    spec = ScanSpec(window=plan.window, agentids=dq.agentids,
+                    projection=frozenset(
+                        name for name in map(_projected, sources)
+                        if name is not None))
+    if options.verify_plans:
+        from repro.engine.verify import verify_spec
+        verify_spec(plan, dq, spec, closure={}, identity_sets={},
+                    ts_bounds={})
+    with tracer.span("scan", pattern=dq.event_var,
+                     vectorized=True) as scan_span:
+        batches, fetched = store.select_batches(  # type: ignore[attr-defined]
+            dq.profile, dq.compiled, spec)
+    key_columns = [_batch_column(s) for s in evaluator.key_sources]
+    display_columns = [_batch_column(s) for s in evaluator.display_sources]
+    value_columns = [_batch_column(s) for s in evaluator.value_sources]
+    matches: list[MatchRow] = []
+    for batch in batches:
+        matches.extend(zip(
+            batch.ts, batch.ids, _tuples(batch, key_columns),
+            _tuples(batch, display_columns),
+            *(column(batch) for column in value_columns)))
+    report = scan_report(store, dq, spec, fetched, len(matches),
+                         monotonic() - started, options.explain)
+    trace = report.patterns[0]
+    scan_span.set(estimate=trace.estimate, fetched=fetched,
+                  matched=len(matches), bytes_hydrated=0, path=trace.path)
+    return matches, report
+
+
+def _fetch_events(store: StorageBackend, plan: QueryPlan,
+                  options: EngineOptions,
+                  ) -> tuple[list[Event], ExecutionReport]:
+    """Matching events through the multievent machinery (1-pattern plan)."""
     if options.row_limit is not None:
         # The limit applies to windowed anomaly rows, not the raw fetch.
-        from dataclasses import replace
         options = replace(options, row_limit=None)
-    bindings, _report = execute_plan(store, plan, options)
-    return [binding[pattern.event_var] for binding in bindings]  # type: ignore
+    bindings, report = execute_plan(store, plan, options)
+    event_var = plan.data_queries[0].event_var
+    return [binding[event_var] for binding in bindings], report  # type: ignore
 
 
 # ---------------------------------------------------------------------------
-# Getter compilation
+# Value sources: one resolution, an event getter and a batch column each
 # ---------------------------------------------------------------------------
 
 def _entity_role(pattern, variable: str) -> str:
@@ -198,65 +374,91 @@ def _entity_role(pattern, variable: str) -> str:
     raise SemanticError(f"unknown variable {variable!r} in anomaly pattern")
 
 
-def _value_getter(pattern, ref: VarRef,
-                  default_to_identity: bool) -> Callable[[Event], object]:
-    """Compile a VarRef into an event-value getter.
+def _resolve(pattern, ref: VarRef, identity: bool) -> ValueSource:
+    """Where a VarRef's value lives.
 
     For a bare entity variable, grouping uses the entity *identity* (so two
     distinct processes with the same name stay distinct groups) while
-    display uses the default attribute; ``default_to_identity`` selects
-    which behaviour the caller wants.
+    display uses the default attribute; ``identity`` selects which
+    behaviour the caller wants.
     """
     if ref.variable == pattern.event_var:
-        attr = canonical_event_attribute(ref.attribute or "id")
-        return lambda event: getattr(event, attr)
+        return "event", canonical_event_attribute(ref.attribute or "id")
     role = _entity_role(pattern, ref.variable)
     entity_type = (pattern.subject.entity_type if role == "subject"
                    else pattern.object.entity_type)
-    if ref.attribute is None:
-        if default_to_identity:
-            if role == "subject":
-                return lambda event: event.subject.identity
-            return lambda event: event.object.identity
-        attr = DEFAULT_ATTRIBUTE[entity_type]
-    else:
-        attr = canonical_attribute(entity_type, ref.attribute)
-    if role == "subject":
-        return lambda event: getattr(event.subject, attr)
-    return lambda event: getattr(event.object, attr)
+    if ref.attribute is not None:
+        return role, canonical_attribute(entity_type, ref.attribute)
+    return role, "identity" if identity else DEFAULT_ATTRIBUTE[entity_type]
 
 
-def _group_getters(query: AnomalyQuery, pattern):
-    return [_value_getter(pattern, ref, default_to_identity=True)
-            for ref in query.group_by]
+def _argument_source(pattern, call: AggCall) -> ValueSource:
+    """What an aggregate call aggregates (``count(evt)`` counts ids)."""
+    if call.arg is None:
+        return None
+    return _resolve(pattern, call.arg, identity=False)
 
 
-def _display_getters(query: AnomalyQuery, pattern):
-    return [_value_getter(pattern, ref, default_to_identity=False)
-            for ref in query.group_by]
+def _event_getter(source: ValueSource) -> Callable[[Event], object]:
+    if source is None:
+        return lambda event: 1
+    where, attribute = source
+    return operator.attrgetter(
+        attribute if where == "event" else f"{where}.{attribute}")
 
 
-def _aggregate_specs(query: AnomalyQuery, pattern):
-    """(alias, func, arg getter) for every aggregate in the return clause."""
-    specs = []
-    for item in query.return_items:
-        if not isinstance(item.expr, AggCall):
-            continue
-        call = item.expr
-        if call.arg is None:
-            arg_getter: Callable[[Event], object] = lambda event: 1
-        elif (call.arg.variable == pattern.event_var
-              and call.arg.attribute is None):
-            # count(evt): each event contributes itself.
-            arg_getter = lambda event: event.id
-        else:
-            arg_getter = _value_getter(pattern, call.arg,
-                                       default_to_identity=False)
-        specs.append((item.name, call.func, arg_getter))
-    if not specs:
+_EVENT_COLUMNS = {"id": "ids", "ts": "ts", "amount": "amounts",
+                  "failcode": "failcodes"}
+
+
+def _batch_column(source: ValueSource) -> Callable[[ColumnBatch], Sequence]:
+    """The same value as :func:`_event_getter`, for every row of a batch."""
+    if source is None:
+        return lambda batch: [1] * len(batch)
+    where, attribute = source
+    if where == "event":
+        if attribute == "operation":
+            return ColumnBatch.operations
+        if attribute == "agentid":
+            return lambda batch: [batch.agentid] * len(batch)
+        return operator.attrgetter(_EVENT_COLUMNS[attribute])
+    return lambda batch: batch.entity_values(where + "s", attribute)
+
+
+def _tuples(batch: ColumnBatch,
+            columns: list[Callable[[ColumnBatch], Sequence]]) -> list[tuple]:
+    if not columns:
+        return [()] * len(batch)
+    return list(zip(*(column(batch) for column in columns)))
+
+
+def _projected(source: ValueSource) -> str | None:
+    """The :attr:`ScanSpec.projection` name that carries a source."""
+    if source is None:
+        return None
+    where, attribute = source
+    if where != "event":
+        return where
+    return None if attribute in ("id", "ts") else attribute
+
+
+def _recorded_aggregates(query: AnomalyQuery) -> list[tuple[str, AggCall]]:
+    """(alias, call) for every aggregate in the return clause."""
+    recorded = [(item.name, item.expr) for item in query.return_items
+                if isinstance(item.expr, AggCall)]
+    if not recorded:
         raise SemanticError("anomaly queries must aggregate at least one "
                             "value (e.g. avg(evt.amount))")
-    return specs
+    return recorded
+
+
+def _having_only_aggregates(query: AnomalyQuery,
+                            aliases: set[str]) -> list[AggCall]:
+    """Aggregate calls the having reads that no return item names."""
+    if query.having is None:
+        return []
+    return list({str(call): call for call in expr_aggregates(query.having)
+                 if str(call) not in aliases}.values())
 
 
 def _history_depth(query: AnomalyQuery) -> int:
@@ -267,9 +469,8 @@ def _history_depth(query: AnomalyQuery) -> int:
     return depth
 
 
-def _render_row(window: Window, query: AnomalyQuery, group_key: tuple,
-                display: tuple, aggregates: dict[str, object],
-                group_getters) -> tuple:
+def _render_row(window: Window, query: AnomalyQuery, display: tuple,
+                aggregates: dict[str, object]) -> tuple:
     # Map each group-by ref to its display value for non-aggregate items.
     display_by_ref = {str(ref): display[i]
                       for i, ref in enumerate(query.group_by)}
@@ -291,99 +492,118 @@ def _render_row(window: Window, query: AnomalyQuery, group_key: tuple,
 
 
 # ---------------------------------------------------------------------------
-# Having evaluation
+# Having compilation
 # ---------------------------------------------------------------------------
 
-class _HavingEvaluator:
-    """Evaluates a having expression for one (window, group).
+#: Operators that only need the unresolved-operand check.
+_PLAIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "=": operator.eq, "!=": operator.ne}
+_DIVISION = {"/": operator.truediv, "%": operator.mod}
+_ORDERING = {"<": operator.lt, "<=": operator.le,
+             ">": operator.gt, ">=": operator.ge}
+
+
+def _truth(value: object) -> bool:
+    return bool(value) if value is not None else False
+
+
+def _failing(message: str) -> HavingNode:
+    def fail(key: tuple, current: dict, slices: Sequence[Sequence]) -> object:
+        raise SemanticError(message)
+    return fail
+
+
+def _compile_having(expr: Expr, query: AnomalyQuery, history: GroupHistory,
+                    aliases: set[str],
+                    extra_columns: dict[str, int]) -> HavingNode:
+    """Compile a having expression to closures, once per query.
 
     Semantics: arithmetic involving an unresolved value (missing history,
     empty-set min/max) yields None, and any comparison or boolean operation
     on None is false — so anomalies only fire once enough history exists.
+    ``/`` and ``%`` by zero are unresolved too.  Both operands of every
+    operator are always evaluated; a reference to an unknown name fails
+    when it is evaluated, not when it is compiled.
     """
+    group_refs = {str(ref): index for index, ref in enumerate(query.group_by)}
 
-    def __init__(self, query: AnomalyQuery, pattern,
-                 history: GroupHistory) -> None:
-        self._query = query
-        self._pattern = pattern
-        self._history = history
-        self._group_refs = {str(ref): index
-                            for index, ref in enumerate(query.group_by)}
+    def build(node: Expr) -> HavingNode:
+        if isinstance(node, Literal):
+            literal = node.value
+            return lambda key, current, slices: literal
+        if isinstance(node, HistoryRef):
+            lookup, alias, offset = history.lookup, node.alias, node.offset
+            return lambda key, current, slices: lookup(key, alias, offset)
+        if isinstance(node, AggCall):
+            name = str(node)
+            if name in aliases:
+                return lambda key, current, slices: current[name]
+            # Aggregate not in the return clause: computed when read.
+            func, column = node.func, extra_columns[name]
+            return lambda key, current, slices: aggregate(func,
+                                                          slices[column])
+        if isinstance(node, VarRef):
+            name = str(node)
+            if node.attribute is None and node.variable in aliases:
+                alias = node.variable
+                return lambda key, current, slices: current[alias]
+            if name in group_refs:
+                index = group_refs[name]
+                return lambda key, current, slices: key[index]
+            return _failing(f"having references unknown name {name!r}")
+        if isinstance(node, NotOp):
+            operand = build(node.operand)
 
-    def passes(self, group: tuple, events: list[Event],
-               current: dict[str, object]) -> bool:
-        value = self._eval(self._query.having, group, events, current)
-        return bool(value) if value is not None else False
+            def negate(key, current, slices):
+                value = operand(key, current, slices)
+                return False if value is None else not value
+            return negate
+        if isinstance(node, BinOp):
+            return binop(node.op, build(node.left), build(node.right))
+        return _failing(f"unsupported having expression {node!r}")
 
-    def _eval(self, expr: Expr, group: tuple, events: list[Event],
-              current: dict[str, object]) -> object:
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, HistoryRef):
-            return self._history.lookup(group, expr.alias, expr.offset)
-        if isinstance(expr, AggCall):
-            alias = str(expr)
-            if alias in current:
-                return current[alias]
-            # Aggregate not in the return clause: compute on the fly.
-            if expr.arg is None:
-                values: list[object] = [1] * len(events)
-            else:
-                getter = _value_getter(self._pattern, expr.arg,
-                                       default_to_identity=False)
-                values = [getter(evt) for evt in events]
-            return aggregate(expr.func, values)
-        if isinstance(expr, VarRef):
-            name = str(expr)
-            if expr.attribute is None and expr.variable in current:
-                return current[expr.variable]
-            if name in self._group_refs:
-                index = self._group_refs[name]
-                return group[index]
-            raise SemanticError(f"having references unknown name {name!r}")
-        if isinstance(expr, NotOp):
-            inner = self._eval(expr.operand, group, events, current)
-            if inner is None:
-                return False
-            return not inner
-        if isinstance(expr, BinOp):
-            return self._binop(expr, group, events, current)
-        raise SemanticError(f"unsupported having expression {expr!r}")
+    def binop(op: str, left: HavingNode, right: HavingNode) -> HavingNode:
+        if op in ("and", "or"):
+            conjunction = op == "and"
 
-    def _binop(self, expr: BinOp, group: tuple, events: list[Event],
-               current: dict[str, object]) -> object:
-        left = self._eval(expr.left, group, events, current)
-        right = self._eval(expr.right, group, events, current)
-        op = expr.op
-        if op == "and":
-            return bool(left) and bool(right)
-        if op == "or":
-            return bool(left) or bool(right)
-        if left is None or right is None:
-            return None
-        if op == "+":
-            return left + right  # type: ignore[operator]
-        if op == "-":
-            return left - right  # type: ignore[operator]
-        if op == "*":
-            return left * right  # type: ignore[operator]
-        if op == "/":
-            return left / right if right else None  # type: ignore[operator]
-        if op == "%":
-            return left % right if right else None  # type: ignore[operator]
-        if op == "=":
-            return left == right
-        if op == "!=":
-            return left != right
-        try:
-            if op == "<":
-                return left < right  # type: ignore[operator]
-            if op == "<=":
-                return left <= right  # type: ignore[operator]
-            if op == ">":
-                return left > right  # type: ignore[operator]
-            if op == ">=":
-                return left >= right  # type: ignore[operator]
-        except TypeError:
-            return None
-        raise SemanticError(f"unknown operator {op!r} in having")
+            def logical(key, current, slices):
+                a = bool(left(key, current, slices))
+                b = bool(right(key, current, slices))
+                return (a and b) if conjunction else (a or b)
+            return logical
+        if op in _PLAIN_OPS:
+            apply = _PLAIN_OPS[op]
+
+            def plain(key, current, slices):
+                a = left(key, current, slices)
+                b = right(key, current, slices)
+                if a is None or b is None:
+                    return None
+                return apply(a, b)
+            return plain
+        if op in _DIVISION:
+            apply = _DIVISION[op]
+
+            def divide(key, current, slices):
+                a = left(key, current, slices)
+                b = right(key, current, slices)
+                if a is None or b is None:
+                    return None
+                return apply(a, b) if b else None
+            return divide
+        if op in _ORDERING:
+            apply = _ORDERING[op]
+
+            def compare(key, current, slices):
+                a = left(key, current, slices)
+                b = right(key, current, slices)
+                if a is None or b is None:
+                    return None
+                try:
+                    return apply(a, b)
+                except TypeError:
+                    return None
+            return compare
+        return _failing(f"unknown operator {op!r} in having")
+
+    return build(expr)

@@ -31,7 +31,9 @@ class EngineOptions:
     :class:`~repro.engine.verify.PlanVerificationError` on any unsound
     pushdown — a debugging/CI harness, off by default.  ``row_limit``
     caps the join's intermediate rows for the whole query (``None`` =
-    :data:`repro.engine.joiner.DEFAULT_ROW_LIMIT`).
+    :data:`repro.engine.joiner.DEFAULT_ROW_LIMIT`); the rows counted are
+    those that survive the joiner's temporal probe, not the per-identity
+    cross product.
     """
 
     prioritize: bool = True      # pruning-power pattern ordering

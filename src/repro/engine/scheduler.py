@@ -120,6 +120,26 @@ class ExecutionReport:
         return "\n".join(lines)
 
 
+def scan_report(store: StorageBackend, dq: DataQuery, spec: ScanSpec,
+                fetched: int, matched: int, elapsed: float,
+                explain: bool) -> ExecutionReport:
+    """The report of a query answered by one scan outside the scheduler.
+
+    Diagnostics mirror the scheduler's: the estimate always (the report
+    surface promises it), the access path only under ``explain`` (it may
+    re-cost the scan).
+    """
+    report = ExecutionReport()
+    report.order = [dq.event_var]
+    estimate = store.estimate(dq.profile, spec)
+    path = (annotate_path(store.access_path(dq.profile, spec).name, spec)
+            if explain else "")
+    report.patterns.append(PatternExecution(
+        event_var=dq.event_var, estimate=estimate, fetched=fetched,
+        matched=matched, elapsed=elapsed, path=path))
+    return report
+
+
 @dataclass
 class ScheduledMatches:
     """Per-pattern candidate lists in execution order, ready to join."""
@@ -254,7 +274,8 @@ class Scheduler:
                 return ScheduledMatches(order=ordered, events={
                     d.index: matches.get(d.index, [])
                     for d in plan.data_queries}, report=report)
-            if self._propagate:
+            if self._propagate and position + 1 < len(ordered):
+                # The last pattern has nothing left to propagate to.
                 executed.append((dq, survivors))
                 self._update_bindings(dq, survivors, identity_sets,
                                       ts_bounds)
@@ -473,7 +494,7 @@ def execute_plan(store: StorageBackend, plan: QueryPlan,
     """Run a planned multievent query: schedule the scans, then join.
 
     ``options.row_limit`` bounds the join's intermediate rows for the
-    whole query.
+    whole query, counted after the joiner's temporal probe.
     """
     tracer = options.tracer or NULL_TRACER
     with tracer.span("schedule"):

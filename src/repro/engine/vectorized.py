@@ -45,8 +45,7 @@ from repro.model.events import canonical_event_attribute
 from repro.engine.executor import _null_safe_key, _Reversed
 from repro.engine.options import EngineOptions
 from repro.engine.planner import DataQuery, QueryPlan
-from repro.engine.scheduler import (ExecutionReport, PatternExecution,
-                                    annotate_path)
+from repro.engine.scheduler import ExecutionReport, scan_report
 from repro.storage.backend import ColumnBatch, ScanSpec, StorageBackend
 
 __all__ = ["execute_vectorized"]
@@ -143,19 +142,9 @@ def execute_vectorized(store: StorageBackend, plan: QueryPlan,
                 rows = rows[:top]
         project_span.set(rows=len(rows))
 
-    step_elapsed = monotonic() - started
-    report = ExecutionReport()
-    report.order = [dq.event_var]
+    report = scan_report(store, dq, spec, fetched, matched,
+                         monotonic() - started, options.explain)
     report.joined_rows = matched
-    # Diagnostics mirror the scheduler's: estimate always (the report
-    # surface promises it), the access path only under explain (it may
-    # re-cost the scan).
-    estimate = store.estimate(dq.profile, spec)
-    path = (annotate_path(store.access_path(dq.profile, spec).name, spec)
-            if options.explain else "")
-    report.patterns.append(PatternExecution(
-        event_var=dq.event_var, estimate=estimate, fetched=fetched,
-        matched=matched, elapsed=step_elapsed, path=path))
     return [item.name for item in query.return_items], rows, report
 
 
@@ -223,18 +212,4 @@ def _column_getter(expr: object, dq: DataQuery,
         except Exception:
             return None
 
-    def column(batch: ColumnBatch) -> list:
-        codes = getattr(batch, side)
-        entities = batch.entities
-        decoded: dict[int, object] = {}
-        out = []
-        for code in codes:
-            try:
-                out.append(decoded[code])
-            except KeyError:
-                value = getattr(entities[code], attr)
-                decoded[code] = value
-                out.append(value)
-        return out
-
-    return column
+    return lambda batch: batch.entity_values(side, attr)

@@ -461,6 +461,15 @@ class ColumnBatch:
         entities = self.entities
         return [entities[code] for code in self.objects]
 
+    def entity_values(self, side: str, attribute: str) -> list:
+        """``attribute`` of every row's entity on ``side`` (``"subjects"``
+        or ``"objects"``), decoding each distinct code once."""
+        codes = getattr(self, side)
+        entities = self.entities
+        decoded = {code: getattr(entities[code], attribute)
+                   for code in set(codes)}
+        return [decoded[code] for code in codes]
+
     def events(self) -> list[Event]:
         """Materialize every row (the non-lazy fallback)."""
         hydrate = self.hydrate

@@ -85,3 +85,61 @@ def test_anomaly_sql_finds_same_spikes(demo_backends):
     sql_run = relational.run_query(query)
     sql_procs = {row[1] for row in sql_run.rows}
     assert engine_procs == sql_procs
+
+
+# ---------------------------------------------------------------------------
+# The IOC-free join and dependency shapes of the benchmark's ``hunt`` set.
+# Neither baseline runs ``joiner._extend``, so they are an independent
+# reference for the interval-probe join on every backend.
+# ---------------------------------------------------------------------------
+
+HUNT_JOIN_IDS = ("h07-dropper-then-spawn", "h08-staged-archives",
+                 "h09-edit-burst", "h11-doc-provenance")
+HUNT_BACKENDS = ("row", "columnar", "sqlite", "sharded(columnar)")
+
+
+@pytest.fixture(scope="module")
+def hunt_feed():
+    """An enterprise day just large enough for all four to return rows."""
+    from repro.telemetry import build_demo_scenario
+    return build_demo_scenario(events_per_host=3000, seed=3,
+                               extra_clients=3).events()
+
+
+@pytest.fixture(scope="module")
+def hunt_baseline_rows(hunt_feed):
+    from aiqlbench.hunt_queries import HUNT_QUERIES
+    from repro.storage.store import EventStore
+    store = EventStore()
+    store.ingest(hunt_feed)
+    relational = RelationalBaseline(optimized=True)
+    relational.load_store(store)
+    relational.finalize()
+    graph = GraphStore()
+    graph.load_store(store)
+    expected = {}
+    for qid, text in HUNT_QUERIES:
+        if qid in HUNT_JOIN_IDS:
+            query = parse(text)
+            sql_rows = set(relational.run_query(query).rows)
+            assert sql_rows == set(graph.run_query(query).rows), qid
+            assert sql_rows, f"{qid}: the feed no longer exercises it"
+            expected[qid] = (query, sql_rows)
+    return expected
+
+
+@pytest.fixture(scope="module", params=HUNT_BACKENDS)
+def hunt_store(request, hunt_feed):
+    from repro.storage.backend import create_backend
+    store = create_backend(request.param)
+    store.ingest(hunt_feed)
+    yield store
+    close = getattr(store, "close", None)
+    if close is not None:
+        close()
+
+
+@pytest.mark.parametrize("qid", HUNT_JOIN_IDS)
+def test_hunt_joins_agree_with_baselines(qid, hunt_store, hunt_baseline_rows):
+    query, expected = hunt_baseline_rows[qid]
+    assert set(execute(hunt_store, query).rows) == expected

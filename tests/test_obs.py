@@ -339,9 +339,6 @@ class TestAnalyzeSurfaces:
                 result = session.query(entry.aiql)
                 assert result.execution is not None, entry.id
                 rendered = _render_analyze(result)
-                if result.kind == "anomaly":
-                    assert result.execution.elapsed >= 0.0
-                    continue
                 patterns = result.execution.patterns
                 assert patterns, entry.id
                 for trace in patterns:
@@ -353,6 +350,36 @@ class TestAnalyzeSurfaces:
             close = getattr(session.store, "close", None)
             if close is not None:
                 close()
+
+
+    @pytest.mark.parametrize("backend", ["row", "columnar"])
+    def test_anomaly_query_reports_its_scan(self, demo_events, backend):
+        """An anomaly query's report names its pattern and the scan's
+        estimate/fetched/matched — from the event source (row) and from
+        the column source (columnar) alike."""
+        from repro.engine.options import EngineOptions
+        from repro.investigate import FIGURE4_QUERIES
+
+        session = AiqlSession(backend=backend)
+        session.ingest(demo_events)
+        aiql = FIGURE4_QUERIES.get("a5-1").aiql
+        result = session.query(aiql, options=EngineOptions(explain=True),
+                               trace=True)
+        assert result.report.startswith("pattern order: evt")
+        (trace,) = result.execution.patterns
+        assert trace.event_var == "evt"
+        assert trace.fetched >= trace.matched > 0
+        assert trace.estimate > 0
+        assert trace.path
+        (scan,) = [span for span in session.last_trace().spans()
+                   if span.name == "scan"]
+        assert scan.attrs["pattern"] == "evt"
+        assert scan.attrs["estimate"] == trace.estimate
+        assert scan.attrs["fetched"] == trace.fetched
+        assert scan.attrs["matched"] == trace.matched
+        if backend == "columnar":
+            assert scan.attrs["vectorized"] is True
+            assert scan.attrs["bytes_hydrated"] == 0
 
 
 class TestStreamAndWalMetrics:

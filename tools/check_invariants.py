@@ -52,6 +52,15 @@ alongside ruff/mypy and runnable anywhere Python is (no dependencies):
     belongs to storage partitions and the sharded tier's processes, not
     to a second in-process dispatch of the same plan.
 
+``bench-surface``
+    The benchmark (``aiqlbench/``, which a performance PR may not edit)
+    imports or monkeypatches a handful of engine names from outside:
+    ``Recorder.patch`` does ``getattr(module, name)`` on
+    ``repro.engine.executor`` and ``repro.engine.anomaly``, and the
+    traced pass crashes if one is gone.  Each module listed in
+    ``BENCH_SURFACE`` must exist and bind its names at module level, so
+    a refactor that drops one fails lint instead of ``--trace 1``.
+
 ``mutable-default``
     No mutable default arguments (``def f(x, acc=[])``), the classic
     shared-state-across-calls bug.
@@ -86,6 +95,15 @@ CLOCK_FREE = ("engine", "stream", "storage")
 
 #: The only ``EngineOptions`` fields allowed to default to ``True``.
 LEVERS = {"prioritize", "propagate"}
+
+#: Module-level names the benchmark reaches for, per module under src/.
+BENCH_SURFACE = {
+    "repro/engine/executor.py": ("execute", "execute_plan",
+                                 "rewrite_dependency", "execute_anomaly"),
+    "repro/engine/anomaly.py": ("execute_plan",),
+    "repro/engine/joiner.py": ("join", "Binding", "TemporalCheck",
+                               "DEFAULT_ROW_LIMIT"),
+}
 
 #: Process/pipe constructors that implicitly use the platform-default
 #: start method (``fork`` on Linux) when called on the bare module.
@@ -316,6 +334,46 @@ def _unused_imports(tree: ast.Module, is_init: bool) -> list[tuple[int, str]]:
             if name not in used and name not in exported]
 
 
+def _module_bindings(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level when it is imported."""
+    bound: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound.update(target.id for target in node.targets
+                         if isinstance(target, ast.Name))
+        elif (isinstance(node, ast.AnnAssign) and node.value is not None
+              and isinstance(node.target, ast.Name)):
+            bound.add(node.target.id)
+    return bound
+
+
+def check_bench_surface(src: Path) -> list[str]:
+    findings = []
+    for module, names in BENCH_SURFACE.items():
+        path = src / module
+        rel = f"src/{module}"
+        if not path.is_file():
+            findings.append(f"{rel}:1: [bench-surface] module is gone; the "
+                            f"benchmark imports {', '.join(names)} from it")
+            continue
+        try:
+            bound = _module_bindings(ast.parse(
+                path.read_text(encoding="utf-8")))
+        except SyntaxError:
+            continue    # check_file reports the parse error
+        findings.extend(
+            f"{rel}:1: [bench-surface] {name!r} is not bound at module "
+            f"level; aiqlbench imports or patches it by that name"
+            for name in names if name not in bound)
+    return findings
+
+
 def check_file(path: Path, root: Path) -> list[str]:
     rel = str(path.relative_to(root))
     try:
@@ -341,6 +399,7 @@ def main(argv: list[str]) -> int:
     findings: list[str] = []
     for path in sorted(src.rglob("*.py")):
         findings.extend(check_file(path, root))
+    findings.extend(check_bench_surface(src))
     for finding in findings:
         print(finding)
     if findings:
