@@ -32,7 +32,6 @@ from repro.model.timeutil import Window
 from repro.storage.backend import ScanOrder, ScanSpec, create_backend
 from repro.storage.columnar import ColumnarEventStore
 from repro.storage.ingest import IngestPipeline, ingest_chunked
-from repro.storage.stats import PatternProfile
 from repro.storage.store import EventStore
 from repro.telemetry import build_demo_scenario
 
@@ -126,22 +125,10 @@ def test_ingest_with_merge_dedup(benchmark, event_stream, backend_name):
     assert stored < len(event_stream)  # dedup removed burst duplicates
 
 
-@pytest.mark.benchmark(group="storage-lookup")
-def test_indexed_lookup(benchmark, loaded_store):
-    """Selective pattern answered through the backend's access paths."""
-    profile = PatternProfile(event_type="file",
-                             operations=frozenset({"write"}),
-                             subject_exact="sqlservr.exe")
-
-    def run():
-        return len(loaded_store.candidates(profile))
-
-    assert benchmark(run) > 0
-
-
-@pytest.mark.benchmark(group="storage-lookup")
+@pytest.mark.benchmark(group="storage-select")
 def test_full_scan_lookup(benchmark, loaded_store):
-    """The same pattern answered by scanning every event."""
+    """``SELECTIVE_AIQL`` answered by scanning every event: the baseline
+    for ``test_select_selective_single_pattern``'s access paths."""
 
     def run():
         return sum(

@@ -3,7 +3,7 @@
 Two roles live here.  :class:`SqliteEventStore` is a full
 :class:`~repro.storage.backend.StorageBackend` implementation (the
 ``sqlite`` registry entry): an indexed events table that the *optimized
-engine* drives through the candidates/estimate/select surface, letting the
+engine* drives through the select/estimate surface, letting the
 scheduler's pruning-power ordering and binding propagation run on top of a
 relational substrate.  :class:`RelationalBaseline` is the paper's
 evaluation baseline, which instead executes the *monolithic* translated
@@ -46,8 +46,8 @@ from repro.model.events import Event, validate_operation
 from repro.model.timeutil import SECONDS_PER_DAY, SPAN_EPSILON, Window
 from repro.baselines.schema import CREATE_EVENTS_SQL, OPTIMIZED_INDEX_SQL
 from repro.baselines.sql_translator import translate
-from repro.storage.backend import (AccessPathInfo, ScanSpec,
-                                   StorageBackend, resolve_spec,
+from repro.storage.backend import (AccessPathInfo, ScanSpec, StorageBackend,
+                                   resolve_spec, select_batches_via_select,
                                    select_via_candidates)
 from repro.storage.dedup import EntityInterner
 from repro.storage.scanstats import FrequencySketch
@@ -589,11 +589,8 @@ class SqliteEventStore:
             + where + " ORDER BY ts, id", params)
         return [self._materialize(row) for row in rows]
 
-    def candidates(self, profile: PatternProfile,
-                   spec: ScanSpec | None = None) -> list[Event]:
-        spec = resolve_spec(spec)
-        if spec.unsatisfiable:
-            return []
+    def _candidates(self, profile: PatternProfile,
+                    spec: ScanSpec) -> list[Event]:
         clauses, params, _dropped = self._where_parts(profile, spec)
         where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
         rows = self._fetch(
@@ -609,7 +606,11 @@ class SqliteEventStore:
         if order is not None and limit is not None:
             return self._select_ordered(profile, predicate, spec, order,
                                         limit)
-        return select_via_candidates(self, profile, predicate, spec)
+        return select_via_candidates(self._candidates, profile, predicate,
+                                     spec)
+
+    #: :meth:`select`'s survivors as per-agent column batches.
+    select_batches = select_batches_via_select
 
     #: Cursor page size for the ordered scan: small enough that stopping
     #: after the k-th survivor leaves most of an unselective table
@@ -737,7 +738,7 @@ class SqliteEventStore:
     def _where_parts(self, profile: PatternProfile, spec: ScanSpec,
                      ) -> tuple[list[str], list[object],
                                 list[tuple[str, frozenset]]]:
-        """One WHERE compilation shared by ``candidates`` and ``estimate``
+        """One WHERE compilation shared by the scan and ``estimate``
         — parity by construction: the count the scheduler orders on is the
         count of exactly the rows the scan would return."""
         clauses, params = self._bounds(spec.window, spec.agentids)

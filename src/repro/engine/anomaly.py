@@ -10,9 +10,9 @@ Execution pipeline — its cost follows the matched events and the scored
 (pane, group) pairs, not panes times events:
 
 1. scan the pattern's matches *once* into rows ``(ts, id, group key,
-   display values, one value per aggregate)`` — from ``select_batches``
-   column slices when the backend offers them (no ``Event`` is hydrated),
-   through the multievent planner and ``execute_plan`` otherwise;
+   display values, one value per aggregate)``, zipped from the
+   backend's ``select_batches`` columns under a projection of just the
+   columns the query reads;
 2. order the rows by ``(ts, id)`` and split them into per-group columns:
    ``ts`` plus one value list per aggregate;
 3. enumerate sliding windows over the query's time window; per pane, each
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Collection, Sequence
 
 from repro.errors import SemanticError
@@ -49,8 +49,9 @@ from repro.obs.trace import NULL_TRACER
 from repro.engine.aggregates import GroupHistory, aggregate
 from repro.engine.options import DEFAULT_OPTIONS, EngineOptions
 from repro.engine.planner import QueryPlan, plan_multievent
-from repro.engine.scheduler import (ExecutionReport, execute_plan,
-                                    scan_report)
+from repro.engine.scheduler import ExecutionReport, scan_report
+# Unused here; the benchmark's traced pass patches it by this name.
+from repro.engine.scheduler import execute_plan  # noqa: F401
 from repro.storage.backend import ColumnBatch, ScanSpec, StorageBackend
 
 #: One matched event as the window driver consumes it:
@@ -146,13 +147,6 @@ class AnomalyWindowEvaluator:
         if key not in self._groups:
             self._groups[key] = _Group(display, len(self._groups))
 
-    def match_row(self, event: Event) -> MatchRow:
-        """One matched event in the form the window driver consumes."""
-        return (event.ts, event.id,
-                tuple(getter(event) for getter in self._key_getters),
-                tuple(getter(event) for getter in self._display_getters),
-                *(getter(event) for getter in self._value_getters))
-
     def evaluate(self, window: Window, events: list[Event]) -> list[tuple]:
         """Score one window pane; ``events`` are the in-window matches
         in ``(ts, id)`` order.  Returns the emitted result rows."""
@@ -222,7 +216,7 @@ def execute_anomaly(store: StorageBackend, query: AnomalyQuery,
     """Run an anomaly query against the store.
 
     The returned report carries the pattern's scan (estimate, fetched,
-    matched, path under ``explain``) whichever source served it.
+    matched, path under ``explain``).
     """
     started = monotonic()
     tracer = options.tracer or NULL_TRACER
@@ -232,11 +226,7 @@ def execute_anomaly(store: StorageBackend, query: AnomalyQuery,
         header=query.header, patterns=query.patterns, temporal=(),
         return_items=(ReturnItem(VarRef(pattern.event_var)),)))
 
-    if hasattr(store, "select_batches"):
-        matches, report = _scan_columns(store, plan, evaluator, options)
-    else:
-        events, report = _fetch_events(store, plan, options)
-        matches = [evaluator.match_row(event) for event in events]
+    matches, report = _scan_columns(store, plan, evaluator, options)
     matches.sort(key=operator.itemgetter(0, 1))
 
     span = query.header.window or store.span
@@ -308,7 +298,7 @@ def _split(group_of: list[int], column: Sequence,
 
 
 # ---------------------------------------------------------------------------
-# Match sources
+# The match scan
 # ---------------------------------------------------------------------------
 
 def _scan_columns(store: StorageBackend, plan: QueryPlan,
@@ -331,8 +321,8 @@ def _scan_columns(store: StorageBackend, plan: QueryPlan,
                     ts_bounds={})
     with tracer.span("scan", pattern=dq.event_var,
                      vectorized=True) as scan_span:
-        batches, fetched = store.select_batches(  # type: ignore[attr-defined]
-            dq.profile, dq.compiled, spec)
+        batches, fetched = store.select_batches(dq.profile, dq.compiled,
+                                                spec)
     key_columns = [_batch_column(s) for s in evaluator.key_sources]
     display_columns = [_batch_column(s) for s in evaluator.display_sources]
     value_columns = [_batch_column(s) for s in evaluator.value_sources]
@@ -348,18 +338,6 @@ def _scan_columns(store: StorageBackend, plan: QueryPlan,
     scan_span.set(estimate=trace.estimate, fetched=fetched,
                   matched=len(matches), bytes_hydrated=0, path=trace.path)
     return matches, report
-
-
-def _fetch_events(store: StorageBackend, plan: QueryPlan,
-                  options: EngineOptions,
-                  ) -> tuple[list[Event], ExecutionReport]:
-    """Matching events through the multievent machinery (1-pattern plan)."""
-    if options.row_limit is not None:
-        # The limit applies to windowed anomaly rows, not the raw fetch.
-        options = replace(options, row_limit=None)
-    bindings, report = execute_plan(store, plan, options)
-    event_var = plan.data_queries[0].event_var
-    return [binding[event_var] for binding in bindings], report  # type: ignore
 
 
 # ---------------------------------------------------------------------------

@@ -148,10 +148,14 @@ def _extend(rows: list[Binding], dq: DataQuery, events: list[Event],
         for event in bucket:
             out.append(_bind(row, dq, event))
             if len(out) > row_limit:
-                raise ExecutionError(
-                    f"join exceeded {row_limit} intermediate rows; "
-                    f"add more selective constraints")
+                raise row_limit_exceeded(row_limit)
     return out
+
+
+def row_limit_exceeded(row_limit: int) -> ExecutionError:
+    """The error a query that outgrows its intermediate-row cap raises."""
+    return ExecutionError(f"join exceeded {row_limit} intermediate rows; "
+                          f"add more selective constraints")
 
 
 def _probe(ts: list[float], row: Binding,

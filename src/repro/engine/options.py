@@ -30,10 +30,12 @@ class EngineOptions:
     scheduler emits from the plan and query alone and raises
     :class:`~repro.engine.verify.PlanVerificationError` on any unsound
     pushdown — a debugging/CI harness, off by default.  ``row_limit``
-    caps the join's intermediate rows for the whole query (``None`` =
-    :data:`repro.engine.joiner.DEFAULT_ROW_LIMIT`); the rows counted are
+    caps the intermediate rows for the whole query; the rows counted are
     those that survive the joiner's temporal probe, not the per-identity
-    cross product.
+    cross product, and a single-pattern query counts its survivors.
+    ``None`` means :data:`repro.engine.joiner.DEFAULT_ROW_LIMIT` for
+    queries that join and no cap for single-pattern ones (nothing is
+    joined).
     """
 
     prioritize: bool = True      # pruning-power pattern ordering

@@ -1,24 +1,26 @@
 """Vectorized single-pattern execution over column batches.
 
 The hottest AIQL shape — one event pattern, scan-filter-project — spends
-most of its time in the row-at-a-time engine materializing an ``Event``
-and a binding dict per survivor just to read two or three attributes
-back out.  This module short-circuits that: when a backend offers
-``select_batches`` (the columnar store), the fused filter runs over
-struct-of-arrays columns and the result rows are built straight from the
-projected column slices — ``zip`` over array slices instead of
-per-row Python objects.
+most of its time in the row-at-a-time engine materializing a binding
+dict per survivor just to read two or three attributes back out.  This
+module short-circuits that: every backend's ``select_batches`` hands the
+survivors over as struct-of-arrays columns (the columnar store filters
+column-at-a-time too, and never builds an ``Event``), and the result
+rows are built straight from the projected column slices — ``zip`` over
+column slices instead of per-row Python objects.
 
-The fast path is taken only when it is provably byte-identical to the
-general engine:
+The path is taken whenever it is provably byte-identical to the general
+engine, which depends on the query's shape alone:
 
 * exactly one data query, no ``with`` relations, no temporal relations
   (nothing to join, so binding semantics collapse to "one row per
   survivor");
 * every return item and sort key compiles to a column getter (an
   unresolvable reference falls back so semantic errors surface in the
-  one place that owns them);
-* no ``row_limit`` cap (that contract belongs to the joiner).
+  one place that owns them).
+
+An explicit ``row_limit`` is enforced here with the joiner's error,
+counting survivors as the joiner would count its one-pattern rows.
 
 Ordering, ``distinct``, and ``top`` replicate
 :func:`repro.engine.executor.project_bindings` exactly: rows order by
@@ -43,6 +45,7 @@ from repro.model.events import canonical_event_attribute
 # The executor imports this module lazily inside its dispatch, so pulling
 # its ordering primitives in at module top never cycles.
 from repro.engine.executor import _null_safe_key, _Reversed
+from repro.engine.joiner import row_limit_exceeded
 from repro.engine.options import EngineOptions
 from repro.engine.planner import DataQuery, QueryPlan
 from repro.engine.scheduler import ExecutionReport, scan_report
@@ -62,11 +65,7 @@ def execute_vectorized(store: StorageBackend, plan: QueryPlan,
     ``None`` means "not eligible — use the general engine"; a non-None
     result is byte-identical to what the general engine would produce.
     """
-    if (len(plan.data_queries) != 1 or plan.relations or plan.temporal
-            or options.row_limit is not None):
-        return None
-    select_batches = getattr(store, "select_batches", None)
-    if select_batches is None:
+    if len(plan.data_queries) != 1 or plan.relations or plan.temporal:
         return None
     dq = plan.data_queries[0]
     return_getters = [_column_getter(item.expr, dq, plan)
@@ -89,12 +88,15 @@ def execute_vectorized(store: StorageBackend, plan: QueryPlan,
         verify_spec(plan, dq, spec, closure={}, identity_sets={},
                     ts_bounds={})
     with tracer.span("scan", pattern=dq.event_var, vectorized=True) as span:
-        batches, fetched = select_batches(dq.profile, dq.compiled, spec)
+        batches, fetched = store.select_batches(dq.profile, dq.compiled,
+                                                spec)
         span.set(fetched=fetched, batches=len(batches))
 
     top = query.top
     batches = [batch for batch in batches if len(batch)]
     matched = sum(len(batch) for batch in batches)
+    if options.row_limit is not None and matched > options.row_limit:
+        raise row_limit_exceeded(options.row_limit)
     with tracer.span("project", vectorized=True) as project_span:
         if not sort_getters and top is None and not query.distinct \
                 and _time_disjoint(batches):

@@ -319,15 +319,16 @@ class ScanSpec:
       consume (``operation``/``subject``/``object``/``amount``/
       ``failcode``/``agentid``; ``ts`` and ``id`` are always implied).
       ``None`` means "everything".  Purely advisory for Event-returning
-      ``select``; the columnar ``select_batches`` gathers only these;
+      ``select``; ``select_batches`` carries only these columns;
     * ``order`` — pushed-down ``(ts, id)`` result ordering with an
       optional top-k limit (:class:`ScanOrder`).  A backend honoring it
       returns the true first/last N survivors already sorted.
 
     Hints stay hints: a backend may ignore ``bindings``/``bounds``
-    because the engine keeps exact post-filters as a correctness
-    fallback, but ``select`` results must respect them exactly, and
-    ``estimate`` must honor them consistently with ``candidates``.
+    internally because the engine keeps exact post-filters as a
+    correctness fallback, but ``select``/``select_batches`` results must
+    respect them exactly, and ``estimate`` must honor them consistently
+    with the scan.
     The two normalizations every backend needs are shared here:
     :attr:`unsatisfiable` (no event can match; short-circuit without
     touching a partition) and :meth:`clamped` (bounds folded into the
@@ -403,16 +404,17 @@ def resolve_spec(spec: ScanSpec | None) -> ScanSpec:
 
 
 class ColumnBatch:
-    """One partition's scan survivors as parallel column slices.
+    """One agent's (or partition's) scan survivors as parallel columns.
 
-    The vectorized exchange format: instead of materializing an
-    :class:`~repro.model.events.Event` per survivor, a batch backend
-    hands back struct-of-arrays slices — one C-level :mod:`array` slice
-    per column when the survivors are contiguous, gathered lists
-    otherwise — plus the dictionaries needed to decode
-    them.  ``ts`` and ``ids`` are always present; the attribute columns
-    are ``None`` when the scan's :attr:`ScanSpec.projection` excluded
-    them.  ``ops``/``subjects``/``objects`` hold dictionary *codes*;
+    The vectorized exchange format ``select_batches`` returns: instead
+    of one :class:`~repro.model.events.Event` per survivor, struct-of-
+    arrays columns — on the columnar store one C-level :mod:`array`
+    slice per column when the survivors are contiguous, gathered lists
+    otherwise — plus the dictionaries needed to decode them.  Rows
+    ascend by ``(ts, id)``.  ``ts`` and ``ids`` are always present; the
+    attribute columns are ``None`` when the scan's
+    :attr:`ScanSpec.projection` excluded them.
+    ``ops``/``subjects``/``objects`` hold dictionary *codes*;
     :meth:`operations`, :meth:`subject_entities` and
     :meth:`object_entities` decode them in one comprehension.
 
@@ -498,25 +500,23 @@ class AccessPathInfo:
 class StorageBackend(Protocol):
     """What the engine needs from a storage substrate.
 
-    The surface is the four operations of the paper's storage tier — the
-    agent write path (``record``/``ingest``), the index-backed candidate
-    fetch, cardinality estimation for pruning-power scheduling, and full
-    scans — plus ``select``, the fused fetch-and-filter entry point that
-    lets a backend evaluate a pattern's residual predicate its own way
-    (per event, or over column batches), and ``access_path``, which
-    reports the physical path the backend would choose without fetching
-    (the ``explain()`` surface).
+    One scan contract on every backend: the agent write path
+    (``record``/``ingest``), full scans, the fused fetch-and-filter
+    ``select`` (survivors as ``Event`` objects, what the join consumes),
+    ``select_batches`` (the same survivors as :class:`ColumnBatch`
+    columns, what single-pattern and anomaly queries consume),
+    cardinality estimation for pruning-power scheduling, and
+    ``access_path``, which reports the physical path the backend would
+    choose without fetching (the ``explain()`` surface).
 
-    ``candidates``/``select``/``estimate`` take the whole physical-scan
-    contract as a single :class:`ScanSpec`.  Backends *may* ignore the
-    binding/bounds hints inside it because the scheduler keeps exact
-    post-filters as a correctness fallback; ``select`` results must
-    respect the hints exactly (the shared :func:`select_via_candidates`
-    already guarantees this for row-at-a-time backends), and
-    ``estimate`` must honor them consistently with ``candidates`` — the
-    scheduler re-orders patterns on these estimates, and a divergence
-    would make ordering decisions about scans that return something
-    else.
+    ``select``/``select_batches``/``estimate``/``access_path`` take the
+    whole physical-scan contract as a single :class:`ScanSpec`.  Scan
+    results must respect its hints exactly (the shared
+    :func:`select_via_candidates` guarantees this for row-at-a-time
+    backends), and ``estimate`` must honor them consistently with the
+    scan — the scheduler re-orders patterns on these estimates, and a
+    divergence would make ordering decisions about scans that return
+    something else.
     """
 
     backend_name: str
@@ -532,12 +532,14 @@ class StorageBackend(Protocol):
     def scan(self, window: Window | None = None,
              agentids: set[int] | None = None) -> list[Event]: ...
 
-    def candidates(self, profile: PatternProfile,
-                   spec: ScanSpec | None = None) -> list[Event]: ...
-
     def select(self, profile: PatternProfile,
                predicate: "CompiledPredicate",
                spec: ScanSpec | None = None) -> tuple[list[Event], int]: ...
+
+    def select_batches(self, profile: PatternProfile,
+                       predicate: "CompiledPredicate",
+                       spec: ScanSpec | None = None,
+                       ) -> tuple[list[ColumnBatch], int]: ...
 
     def estimate(self, profile: PatternProfile,
                  spec: ScanSpec | None = None) -> int: ...
@@ -567,18 +569,18 @@ class StorageBackend(Protocol):
     def __len__(self) -> int: ...
 
 
-def select_via_candidates(backend: StorageBackend, profile: PatternProfile,
-                          predicate: "CompiledPredicate",
-                          spec: ScanSpec | None = None,
-                          ) -> tuple[list[Event], int]:
-    """Default ``select``: candidate fetch + fused per-event residual.
+def select_via_candidates(
+        fetch: Callable[[PatternProfile, ScanSpec], Sequence[Event]],
+        profile: PatternProfile, predicate: "CompiledPredicate",
+        spec: ScanSpec | None = None) -> tuple[list[Event], int]:
+    """``select`` for row-at-a-time backends: candidate fetch + residual.
 
-    Row-at-a-time backends share this implementation; batch backends
-    override ``select`` entirely.  Returns ``(survivors, fetched)`` where
-    ``fetched`` is the candidate-list size (for execution reports).  An
-    unsatisfiable spec short-circuits, and the spec's binding/bounds
-    hints are enforced exactly on the survivors, whatever the backend's
-    ``candidates`` chose to do with them.
+    ``fetch(profile, spec)`` is the backend's index-backed candidate
+    superset (the row and sqlite stores pass their private one).
+    Returns ``(survivors, fetched)`` where ``fetched`` is the
+    candidate-list size (for execution reports).  An unsatisfiable spec
+    short-circuits, and the spec's binding/bounds hints are enforced
+    exactly on the survivors, whatever ``fetch`` chose to do with them.
 
     The survivor stream is lazy: with a plain ``limit`` the filter loop
     stops the moment it has enough (instead of building the full
@@ -591,7 +593,7 @@ def select_via_candidates(backend: StorageBackend, profile: PatternProfile,
     if spec.unsatisfiable:
         return [], 0
     started = monotonic()
-    fetched = backend.candidates(profile, spec)
+    fetched = fetch(profile, spec)
     test = predicate.event_predicate
     bounds, bindings = spec.bounds, spec.bindings
     if bounds is not None and bounds:
@@ -626,6 +628,45 @@ def select_via_candidates(backend: StorageBackend, profile: PatternProfile,
         selected = list(survivors)
     record_scan(len(fetched), len(selected), monotonic() - started)
     return selected, len(fetched)
+
+
+def select_batches_via_select(backend: StorageBackend,
+                              profile: PatternProfile,
+                              predicate: "CompiledPredicate",
+                              spec: ScanSpec | None = None,
+                              ) -> tuple[list[ColumnBatch], int]:
+    """``select_batches`` for backends that hold ``Event`` objects.
+
+    Groups ``select``'s survivors per agent in ``(ts, id)`` order.  Each
+    row gets its own dictionary codes (row ``i`` is operation ``i``,
+    subject ``i`` and object ``n + i``), so nothing is hashed or
+    deduplicated, and ``hydrate`` returns the survivor itself.
+    """
+    survivors, fetched = backend.select(profile, predicate, spec)
+    projection = resolve_spec(spec).projection
+    groups: dict[int, list[Event]] = {}
+    for event in sorted(survivors, key=lambda e: (e.ts, e.id)):
+        groups.setdefault(event.agentid, []).append(event)
+
+    def want(name: str) -> bool:
+        return projection is None or name in projection
+
+    batches = []
+    for agentid, rows in groups.items():
+        n = len(rows)
+        batches.append(ColumnBatch(
+            agentid, [e.id for e in rows], [e.ts for e in rows],
+            ops=range(n) if want("operation") else None,
+            subjects=range(n) if want("subject") else None,
+            objects=range(n, 2 * n) if want("object") else None,
+            amounts=[e.amount for e in rows] if want("amount") else None,
+            failcodes=([e.failcode for e in rows] if want("failcode")
+                       else None),
+            op_names=[e.operation for e in rows],
+            entities=([e.subject for e in rows]
+                      + [e.object for e in rows]),
+            hydrate=rows.__getitem__))
+    return batches, fetched
 
 
 # Scan telemetry handles, created once at import.  Every physical scan —

@@ -477,24 +477,6 @@ class ColumnarEventStore:
         events.sort(key=lambda e: (e.ts, e.id))
         return events
 
-    def candidates(self, profile: PatternProfile,
-                   spec: "ScanSpec | None" = None) -> list[Event]:
-        """Batch-scan superset of events matching the profile.
-
-        The spec's ``limit`` and ``order`` are *not* applied here:
-        candidates are a superset still awaiting residual predicate
-        evaluation, and truncating (or order-selecting) the superset
-        could starve the true matches a limited ``select`` owes (the row
-        store's candidates ignore them too).
-        """
-        spec = _resolved(spec)
-        if spec.limit is not None or spec.order is not None:
-            from dataclasses import replace
-            spec = replace(spec, limit=None, order=None)
-        events, _fetched = self._batch_select(
-            self._profile_atoms(profile), spec)
-        return events
-
     def select(self, profile: PatternProfile,
                predicate: CompiledPredicate,
                spec: "ScanSpec | None" = None) -> tuple[list[Event], int]:
@@ -511,7 +493,15 @@ class ColumnarEventStore:
         survivor materialization too.
         """
         started = monotonic()
-        events, fetched = self._batch_select(predicate.atoms, spec)
+        spec = _resolved(spec)
+        groups, fetched = self._scan_rows(predicate.atoms, spec)
+        events = [self._event_at(partition, row)
+                  for partition, rows in groups for row in rows]
+        if spec.order is not None:
+            # The groups hold the right survivors; present them in the
+            # requested order (cheap — an ordered-limited scan already
+            # reduced them to at most the pushed k).
+            events.sort(key=spec.order.key())
         record_scan(fetched, len(events), monotonic() - started)
         return events, fetched
 
@@ -523,7 +513,7 @@ class ColumnarEventStore:
         if spec.unsatisfiable or (binding_codes is not None
                                   and binding_codes.empty):
             return 0
-        # Identical tightening to the one _batch_select applies, so the
+        # Identical tightening to the one the scan applies, so the
         # estimate stays consistent with the scan it predicts.
         window = spec.clamped()
         return sum(self._estimate_partition(partition, profile, window,
@@ -721,21 +711,6 @@ class ColumnarEventStore:
                     if not any(code in present for code in allowed):
                         return True
         return False
-
-    def _batch_select(self, atoms: Iterable[Atom],
-                      spec: "ScanSpec | None" = None,
-                      ) -> tuple[list[Event], int]:
-        spec = _resolved(spec)
-        groups, fetched = self._scan_rows(atoms, spec)
-        events: list[Event] = []
-        for partition, rows in groups:
-            events.extend(self._event_at(partition, row) for row in rows)
-        if spec.order is not None:
-            # The groups hold the right survivors; present them in the
-            # requested order (cheap — an ordered-limited scan already
-            # reduced them to at most the pushed k).
-            events.sort(key=spec.order.key())
-        return events, fetched
 
     def select_batches(self, profile: PatternProfile,
                        predicate: CompiledPredicate,
@@ -948,7 +923,7 @@ class ColumnarEventStore:
                     ) -> Iterator[tuple[ColumnarPartition, int, int]]:
         """The row spans the fused loop walks, after every pruning tier.
 
-        One walk shared by ``_batch_select`` and ``access_path`` so the
+        One walk shared by the scan and ``access_path`` so the
         explain surface reports exactly the partitions and clamped spans
         the real scan would touch: agent tests, zone maps over the
         dictionary columns, zone-map range pruning for ordered ts/amount

@@ -50,8 +50,8 @@ from repro.errors import StorageError
 from repro.model.entities import Entity, ProcessEntity
 from repro.model.events import Event
 from repro.model.timeutil import SECONDS_PER_DAY, Window
-from repro.storage.backend import (AccessPathInfo, ScanSpec, StorageBackend,
-                                   create_backend)
+from repro.storage.backend import (AccessPathInfo, ColumnBatch, ScanSpec,
+                                   StorageBackend, create_backend)
 from repro.storage.dedup import ReplayDeduper
 from repro.storage.faults import FaultInjector, resolve_injector
 from repro.storage.stats import PatternProfile
@@ -343,14 +343,16 @@ class DurableStore:
              agentids: set[int] | None = None) -> list[Event]:
         return self._inner.scan(window, agentids)
 
-    def candidates(self, profile: PatternProfile,
-                   spec: ScanSpec | None = None) -> list[Event]:
-        return self._inner.candidates(profile, spec)
-
     def select(self, profile: PatternProfile,
                predicate: "CompiledPredicate",
                spec: ScanSpec | None = None) -> tuple[list[Event], int]:
         return self._inner.select(profile, predicate, spec)
+
+    def select_batches(self, profile: PatternProfile,
+                       predicate: "CompiledPredicate",
+                       spec: ScanSpec | None = None,
+                       ) -> tuple[list[ColumnBatch], int]:
+        return self._inner.select_batches(profile, predicate, spec)
 
     def estimate(self, profile: PatternProfile,
                  spec: ScanSpec | None = None) -> int:

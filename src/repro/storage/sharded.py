@@ -15,7 +15,7 @@ order) applies *inside* each shard — and gathering:
   statistics a single node would over the same partitions, so the sum
   is exactly the single-node estimate for row/columnar backends and the
   scheduler's pruning-power ordering is unchanged;
-* ``select``/``candidates``/``scan`` merge per-shard results under the
+* ``select``/``scan`` merge per-shard results under the
   canonical ``(ts, id)`` comparator.  With a pushed
   :class:`~repro.storage.backend.ScanOrder` limit each shard returns
   its local top-k and the coordinator heap-merges the global top-k —
@@ -209,12 +209,9 @@ class ShardedStore:
         self.shard_backend = backend
         self._bucket_seconds = bucket_seconds
         # Probe the hosted backend *before* spawning anything: an unknown
-        # name fails fast here instead of crashing N fresh workers, and
-        # the probe decides the batch surface — the vectorized executor
-        # feature-detects select_batches via getattr, so a sharded(row)
-        # store must look exactly as batch-less as row itself does.
+        # name fails fast here instead of crashing N fresh workers.
         from repro.storage.backend import create_backend
-        probe = create_backend(backend, bucket_seconds)
+        create_backend(backend, bucket_seconds)
         self._shards = [_Shard(i, backend, bucket_seconds)
                         for i in range(shards)]
         self._lock = threading.Lock()
@@ -232,8 +229,6 @@ class ShardedStore:
         self.pruned_rounds = 0
         self._finalizer = weakref.finalize(self, _finalize_shards,
                                            self._shards)
-        if hasattr(probe, "select_batches"):
-            self.select_batches = self._select_batches
 
     # ------------------------------------------------------------------
     # Routing
@@ -412,17 +407,6 @@ class ShardedStore:
         merged.sort(key=lambda e: (e.ts, e.id))
         return merged
 
-    def candidates(self, profile: PatternProfile,
-                   spec: ScanSpec | None = None) -> list[Event]:
-        spec = resolve_spec(spec)
-        if spec.unsatisfiable:
-            return []
-        merged: list[Event] = []
-        for events in self._scatter(spec, "candidates", (profile, spec)):
-            merged.extend(events)
-        merged.sort(key=lambda e: (e.ts, e.id))
-        return merged
-
     def select(self, profile: PatternProfile,
                predicate: "CompiledPredicate",
                spec: ScanSpec | None = None) -> tuple[list[Event], int]:
@@ -458,10 +442,10 @@ class ShardedStore:
             del survivors[limit:]
         return survivors, fetched
 
-    def _select_batches(self, profile: PatternProfile,
-                        predicate: "CompiledPredicate",
-                        spec: ScanSpec | None = None,
-                        ) -> tuple[list[ColumnBatch], int]:
+    def select_batches(self, profile: PatternProfile,
+                       predicate: "CompiledPredicate",
+                       spec: ScanSpec | None = None,
+                       ) -> tuple[list[ColumnBatch], int]:
         """Vectorized scatter: projection-aware top-k gather over batches.
 
         Workers ship only the projected columns with compacted

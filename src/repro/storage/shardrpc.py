@@ -57,7 +57,6 @@ SPAWN_CONTEXT = multiprocessing.get_context("spawn")
 #: the durability chaos matrix stays exactly the WAL's.
 SHARD_FAULT_POINTS = (
     "shard.worker.ingest",
-    "shard.worker.candidates",
     "shard.worker.select",
     "shard.worker.select_batches",
     "shard.worker.estimate",
@@ -152,9 +151,6 @@ def _dispatch(backend, faults: FaultInjector, method: str,
     if method == "scan":
         window, agentids = args
         return backend.scan(window, agentids)
-    if method == "candidates":
-        profile, spec = args
-        return backend.candidates(profile, spec)
     if method == "select":
         from repro.engine.filters import compile_atoms
         profile, atoms, spec = args

@@ -5,9 +5,11 @@ Python substrate.  It combines the hypertable (time+space partitioning),
 per-partition in-memory indexes, entity interning, and statistics, and
 exposes the two operations the engine needs:
 
-* :meth:`EventStore.candidates` — fetch the cheapest index-backed candidate
-  list for an event pattern's data query (partition pruning + best access
-  path selection);
+* :meth:`EventStore.select` — the cheapest index-backed candidate fetch
+  for an event pattern's data query (partition pruning + best access
+  path selection) followed by the residual predicate;
+  :meth:`EventStore.select_batches` hands the same survivors over as
+  column batches;
 * :meth:`EventStore.estimate` — cardinality estimation feeding the
   scheduler's pruning-power ordering.
 """
@@ -25,7 +27,9 @@ from repro.storage.indexes import clip_to_window, like_to_regex
 from repro.storage.partition import Hypertable, Partition
 from repro.storage.stats import PatternProfile, estimate_partition
 
-from repro.storage.backend import resolve_spec as _resolved
+from repro.storage.backend import (resolve_spec as _resolved,
+                                   select_batches_via_select,
+                                   select_via_candidates)
 
 if TYPE_CHECKING:
     from repro.engine.filters import CompiledPredicate
@@ -102,8 +106,8 @@ class EventStore:
         events.sort(key=lambda e: (e.ts, e.id))
         return events
 
-    def candidates(self, profile: PatternProfile,
-                   spec: "ScanSpec | None" = None) -> list[Event]:
+    def _candidates(self, profile: PatternProfile,
+                    spec: "ScanSpec") -> list[Event]:
         """Cheapest index-backed superset of events matching the profile.
 
         The returned list still requires residual predicate evaluation
@@ -117,9 +121,6 @@ class EventStore:
         own costed access path, so a narrowed sliver of a bucket never
         pays for a broad posting list.
         """
-        spec = _resolved(spec)
-        if spec.unsatisfiable:
-            return []
         window = spec.clamped()
         out: list[Event] = []
         for partition in self._table.prune(window, spec.agentids):
@@ -148,8 +149,11 @@ class EventStore:
                 and spec.bindings is None and spec.bounds is None):
             return self._select_ordered(profile, predicate, spec, order,
                                         limit)
-        from repro.storage.backend import select_via_candidates
-        return select_via_candidates(self, profile, predicate, spec)
+        return select_via_candidates(self._candidates, profile, predicate,
+                                     spec)
+
+    #: :meth:`select`'s survivors as per-agent column batches.
+    select_batches = select_batches_via_select
 
     def _select_ordered(self, profile: PatternProfile,
                         predicate: "CompiledPredicate", spec: "ScanSpec",
@@ -203,7 +207,7 @@ class EventStore:
         spec = _resolved(spec)
         if spec.unsatisfiable:
             return 0
-        # The same window tightening ``candidates`` applies, so the
+        # The same window tightening the candidate fetch applies, so the
         # estimate never diverges from what the scan would fetch.
         window = spec.clamped()
         return sum(
@@ -212,7 +216,7 @@ class EventStore:
 
     def access_path(self, profile: PatternProfile,
                     spec: "ScanSpec | None" = None) -> "AccessPathInfo":
-        """The costed physical path ``candidates`` would take (no fetch)."""
+        """The costed physical path ``select`` would take (no fetch)."""
         from repro.storage.backend import AccessPathInfo
         spec = _resolved(spec)
         if spec.unsatisfiable:

@@ -5,14 +5,54 @@ from __future__ import annotations
 import pytest
 
 from repro import AiqlSession
+from repro.engine.dependency import rewrite_dependency
+from repro.engine.executor import (DEFAULT_OPTIONS, EngineOptions, execute,
+                                   project_bindings)
+from repro.engine.planner import plan_multievent
+from repro.engine.scheduler import execute_plan
+from repro.lang.ast import DependencyQuery, MultieventQuery, Query
 from repro.model.entities import FileEntity, NetworkEntity, ProcessEntity
-from repro.model.timeutil import parse_timestamp
+from repro.model.timeutil import SECONDS_PER_DAY, parse_timestamp
+from repro.storage.backend import StorageBackend, create_backend
+from repro.storage.durable import DurableStore
 from repro.storage.store import EventStore
 from repro.telemetry import build_case2_scenario, build_demo_scenario
 
 DAY = "06/10/2026"
 BASE_TS = parse_timestamp(DAY)
 AGENT = 3
+
+
+def open_backend(name: str, tmp_path_factory,
+                 bucket_seconds: float = SECONDS_PER_DAY) -> StorageBackend:
+    """The backend a ``REPRO_CONTRACT_BACKENDS`` name stands for.
+
+    ``durable(<inner>)`` wraps ``inner`` in a :class:`DurableStore` over
+    a fresh temporary directory with fsync off: the suites exercise the
+    read path, which must answer exactly like the bare inner backend.
+    """
+    if name.startswith("durable(") and name.endswith(")"):
+        return DurableStore(tmp_path_factory.mktemp("durable"),
+                            backend=name[len("durable("):-1],
+                            bucket_seconds=bucket_seconds, sync="never")
+    return create_backend(name, bucket_seconds)
+
+
+def general_engine_rows(store: StorageBackend, query: Query,
+                        options: EngineOptions = DEFAULT_OPTIONS,
+                        ) -> list[tuple]:
+    """A query's rows with multievent and dependency queries forced
+    through the general engine — scheduler, join, ``project_bindings``,
+    called directly — whatever their shape, so single-pattern queries
+    are checked against a path the vectorized executor does not share.
+    Anomaly queries run through :func:`execute`."""
+    if isinstance(query, DependencyQuery):
+        query = rewrite_dependency(query)
+    if not isinstance(query, MultieventQuery):
+        return execute(store, query, options).rows
+    plan = plan_multievent(query)
+    bindings, _report = execute_plan(store, plan, options)
+    return project_bindings(plan, query, bindings)[1]
 
 
 def make_exfil_store(noise: int = 500) -> EventStore:

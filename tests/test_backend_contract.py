@@ -1,16 +1,16 @@
 """Backend conformance: one contract, three substrates.
 
 Every :class:`~repro.storage.backend.StorageBackend` implementation must
-answer the same candidate/estimate/select/ingest assertions, and — the
-strongest check — produce byte-identical query results through the full
-engine.  The suite is parametrized over the registry so a future backend
-joins the contract by adding its name.
+answer the same select/select_batches/estimate/ingest assertions, and —
+the strongest check — produce byte-identical query results through the
+full engine.  The suite is parametrized over the registry so a future
+backend joins the contract by adding its name; ``durable(<inner>)``
+runs it against the WAL-backed wrapper of ``inner``.
 
-Since the ScanSpec refactor, ``candidates``/``select``/``estimate`` take
-the whole physical-scan contract as a single
-:class:`~repro.storage.backend.ScanSpec`; the equivalence cases in
-:class:`TestScanSpec` lock in that the spec composes exactly like the old
-positional hints did.
+``select``/``select_batches``/``estimate`` take the whole physical-scan
+contract as a single :class:`~repro.storage.backend.ScanSpec`; the
+equivalence cases in :class:`TestScanSpec` lock in how its hints
+compose, and every survivor check below reads both scan surfaces.
 """
 
 from __future__ import annotations
@@ -23,20 +23,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro import AiqlSession
 from repro.engine.executor import EngineOptions
-from repro.engine.planner import plan_multievent
+from repro.engine.planner import DataQuery, plan_multievent
 from repro.errors import StorageError
 from repro.lang.parser import parse
 from repro.model.entities import FileEntity, NetworkEntity, ProcessEntity
 from repro.model.events import Event
-from repro.model.timeutil import Window
+from repro.model.timeutil import SECONDS_PER_DAY, Window
 from repro.storage.backend import (IdentityBindings, ScanOrder, ScanSpec,
                                    StorageBackend, TemporalBounds,
                                    available_backends, create_backend)
 from repro.storage.stats import PatternProfile
 
-from tests.conftest import AGENT, BASE_TS, QUERY1, QUERY1_ROW
+from tests.conftest import AGENT, BASE_TS, QUERY1, QUERY1_ROW, open_backend
 
-ALL_BACKENDS = ("row", "columnar", "sqlite")
+ALL_BACKENDS = ("row", "columnar", "sqlite", "durable(columnar)")
 
 # CI's backend matrix restricts each leg to one substrate; name-based -k
 # selection would mis-select tests whose ids mention another backend.
@@ -52,8 +52,59 @@ def backend_name(request) -> str:
 
 
 @pytest.fixture
-def store(backend_name):
-    store = create_backend(backend_name, bucket_seconds=1000)
+def make_store(backend_name, tmp_path_factory):
+    """``make_store(bucket_seconds)`` builds an empty backend under test;
+    every store it built is closed at teardown."""
+    made: list[StorageBackend] = []
+
+    def make(bucket_seconds: float = SECONDS_PER_DAY) -> StorageBackend:
+        made.append(open_backend(backend_name, tmp_path_factory,
+                                 bucket_seconds))
+        return made[-1]
+    yield make
+    for store in made:
+        close = getattr(store, "close", None)
+        if close is not None:
+            close()
+
+
+def pattern(aiql: str) -> DataQuery:
+    """The one data query of a single-pattern AIQL query."""
+    return plan_multievent(parse(aiql)).data_queries[0]
+
+
+#: Every file write: the pattern most scan-contract cases filter with.
+WRITES = pattern("proc p write file f as e1 return f")
+
+
+def survivors(store, dq: DataQuery, spec: ScanSpec | None = None,
+              ) -> list[Event]:
+    """``select``'s survivors, after checking that ``select_batches``
+    returns the same rows, ascending by ``(ts, id)`` within each batch,
+    and the same ``fetched`` count."""
+    events, fetched = store.select(dq.profile, dq.compiled, spec)
+    batches, batch_fetched = store.select_batches(dq.profile, dq.compiled,
+                                                  spec)
+    assert batch_fetched == fetched
+    for batch in batches:
+        keys = list(zip(batch.ts, batch.ids))
+        assert keys == sorted(keys)
+    assert (sorted(key for batch in batches
+                   for key in zip(batch.ts, batch.ids))
+            == sorted((e.ts, e.id) for e in events))
+    return events
+
+
+def assert_short_circuits(store, dq: DataQuery, spec: ScanSpec) -> None:
+    """An unsatisfiable spec scans nothing on either surface."""
+    assert store.select(dq.profile, dq.compiled, spec) == ([], 0)
+    assert store.select_batches(dq.profile, dq.compiled, spec) == ([], 0)
+    assert store.estimate(dq.profile, spec) == 0
+
+
+@pytest.fixture
+def store(make_store):
+    store = make_store(1000)
     writer = ProcessEntity(1, 10, "writer.exe")
     reader = ProcessEntity(1, 11, "reader.exe")
     remote = ProcessEntity(2, 12, "remote.exe")
@@ -69,14 +120,19 @@ def store(backend_name):
 
 
 def test_registry_knows_all_builtins():
-    assert set(BACKENDS) <= set(available_backends())
+    registry_names = {name[len("durable("):-1]
+                      if name.startswith("durable(") else name
+                      for name in BACKENDS}
+    assert registry_names <= set(available_backends())
     with pytest.raises(StorageError):
         create_backend("no-such-backend")
 
 
-def test_protocol_conformance(store):
+def test_protocol_conformance(store, backend_name):
     assert isinstance(store, StorageBackend)
-    assert store.backend_name in BACKENDS
+    if backend_name.startswith("durable("):
+        backend_name = f"durable[{backend_name[len('durable('):-1]}]"
+    assert store.backend_name == backend_name
 
 
 class TestRecordAndScan:
@@ -104,28 +160,23 @@ class TestRecordAndScan:
 
 class TestCandidatesAndEstimates:
     def test_exact_subject_candidates(self, store):
-        profile = PatternProfile(event_type="file",
-                                 operations=frozenset({"read"}),
-                                 subject_exact="reader.exe")
-        matching = [e for e in store.candidates(profile)
-                    if e.subject.exe_name == "reader.exe"
-                    and e.operation == "read"]
-        assert len(matching) == 10
+        got = survivors(store, pattern(
+            'proc p["reader.exe"] read file f as e1 return f'))
+        assert len(got) == 10
+        assert all(e.subject.exe_name == "reader.exe"
+                   and e.operation == "read" for e in got)
 
     def test_candidates_superset_of_matches(self, store):
-        profile = PatternProfile(event_type="file",
-                                 operations=frozenset({"write"}),
-                                 object_like="%/data/0%")
-        candidate_ids = {e.id for e in store.candidates(profile)}
-        for event in store.scan():
-            if (event.event_type == "file" and event.operation == "write"
-                    and event.object.name == "/data/0.txt"):
-                assert event.id in candidate_ids
+        """Whatever access path the backend costs, no match is lost."""
+        got = survivors(store, pattern(
+            'proc p write file f["%/data/0%"] as e1 return f'))
+        assert {e.id for e in got} == {
+            event.id for event in store.scan()
+            if event.event_type == "file" and event.operation == "write"
+            and event.object.name == "/data/0.txt"}
 
     def test_candidates_clipped_to_window(self, store):
-        profile = PatternProfile(event_type="file",
-                                 operations=frozenset({"write"}))
-        got = store.candidates(profile, ScanSpec(window=Window(0.0, 10.0)))
+        got = survivors(store, WRITES, ScanSpec(window=Window(0.0, 10.0)))
         assert {e.id for e in got} == {
             e.id for e in store.scan(Window(0.0, 10.0))
             if e.operation == "write"}
@@ -142,10 +193,9 @@ class TestCandidatesAndEstimates:
         assert store.estimate(profile, ScanSpec(agentids={99})) == 0
 
     def test_estimate_zero_implies_no_matches(self, store):
-        profile = PatternProfile(event_type="ip",
-                                 operations=frozenset({"connect"}))
-        if store.estimate(profile) == 0:
-            assert store.candidates(profile) == []
+        dq = pattern("proc p connect ip i as e1 return i")
+        if store.estimate(dq.profile) == 0:
+            assert survivors(store, dq) == []
 
     def test_access_path_reports_a_name_and_cost(self, store):
         profile = PatternProfile(event_type="file",
@@ -211,12 +261,12 @@ class TestIdentityPushdown:
             == [(e.id, e.ts) for e in sorted(filtered, key=lambda e: e.id)]
         assert fetched <= baseline_fetched
 
-    def test_oversized_binding_set_equals_post_filter(self, backend_name):
+    def test_oversized_binding_set_equals_post_filter(self, make_store):
         """A binding set above BITMAP_THRESHOLD and above the store's
         vocabulary takes each backend's dense tier (bitmap, posting-key
         intersection, SQL fallback) — same survivors as post-filtering."""
         from repro.storage.backend import BITMAP_THRESHOLD
-        store = create_backend(backend_name)
+        store = make_store()
         writers = [ProcessEntity(1, 100 + i, f"w{i}.exe")
                    for i in range(300)]
         for i, writer in enumerate(writers):
@@ -240,9 +290,7 @@ class TestIdentityPushdown:
         dq = self._dq()
         spec = ScanSpec(bindings=IdentityBindings(subjects=frozenset()))
         assert spec.unsatisfiable
-        assert store.select(dq.profile, dq.compiled, spec) == ([], 0)
-        assert store.estimate(dq.profile, spec) == 0
-        assert store.candidates(dq.profile, spec) == []
+        assert_short_circuits(store, dq, spec)
 
     def test_unknown_identities_match_nothing(self, store):
         dq = self._dq()
@@ -267,11 +315,10 @@ class TestIdentityPushdown:
     def test_candidates_keep_true_matches(self, store):
         dq = self._dq()
         bindings = IdentityBindings(objects=frozenset({self.FILE0_ID}))
-        candidate_ids = {e.id for e in store.candidates(
-            dq.profile, ScanSpec(bindings=bindings))}
-        for event in store.scan():
-            if (dq.predicate(event) and bindings.admits(event)):
-                assert event.id in candidate_ids
+        got = survivors(store, dq, ScanSpec(bindings=bindings))
+        assert {e.id for e in got} == {
+            event.id for event in store.scan()
+            if dq.predicate(event) and bindings.admits(event)}
 
     def test_bindings_compose_with_window_and_agents(self, store):
         dq = self._dq()
@@ -344,9 +391,7 @@ class TestTemporalBoundsPushdown:
                        TemporalBounds(lo=50.0, hi=50.0, hi_strict=True)):
             spec = ScanSpec(bounds=bounds)
             assert bounds.unsatisfiable and spec.unsatisfiable
-            assert store.select(dq.profile, dq.compiled, spec) == ([], 0)
-            assert store.estimate(dq.profile, spec) == 0
-            assert store.candidates(dq.profile, spec) == []
+            assert_short_circuits(store, dq, spec)
 
     def test_bounds_compose_with_window_and_bindings(self, store):
         dq = self._dq()
@@ -366,11 +411,10 @@ class TestTemporalBoundsPushdown:
     def test_candidates_keep_true_matches_under_bounds(self, store):
         dq = self._dq()
         bounds = TemporalBounds(lo=3.0, hi=105.0, lo_strict=True)
-        candidate_ids = {e.id for e in store.candidates(
-            dq.profile, ScanSpec(bounds=bounds))}
-        for event in store.scan():
-            if dq.predicate(event) and bounds.admits(event.ts):
-                assert event.id in candidate_ids
+        got = survivors(store, dq, ScanSpec(bounds=bounds))
+        assert {e.id for e in got} == {
+            event.id for event in store.scan()
+            if dq.predicate(event) and bounds.admits(event.ts)}
 
     def test_estimate_reacts_to_bounds(self, store):
         dq = self._dq()
@@ -389,26 +433,25 @@ class TestScanSpec:
                              operations=frozenset({"write"}))
 
     def test_default_spec_is_a_full_scan(self, store):
-        assert ({e.id for e in store.candidates(self.PROFILE)}
-                == {e.id for e in store.candidates(self.PROFILE,
-                                                   ScanSpec())})
+        assert ({e.id for e in survivors(store, WRITES)}
+                == {e.id for e in survivors(store, WRITES, ScanSpec())})
 
     def test_bounds_equal_their_clamped_window(self, store):
         """A window-shaped bounds hint and the equivalent window give the
-        same candidates — the shared ``clamped()`` lowering."""
+        same survivors — the shared ``clamped()`` lowering."""
         bounds = TemporalBounds(lo=5.0, hi=20.0, hi_strict=True)
-        via_bounds = store.candidates(self.PROFILE, ScanSpec(bounds=bounds))
+        via_bounds = survivors(store, WRITES, ScanSpec(bounds=bounds))
         spec = ScanSpec(bounds=bounds)
         assert spec.clamped() == Window(5.0, 20.0)
-        via_window = store.candidates(self.PROFILE,
-                                      ScanSpec(window=spec.clamped()))
+        via_window = survivors(store, WRITES,
+                               ScanSpec(window=spec.clamped()))
         assert (sorted((e.id, e.ts) for e in via_bounds)
                 == sorted((e.id, e.ts) for e in via_window))
 
     def test_window_and_bounds_intersect(self, store):
         spec = ScanSpec(window=Window(0.0, 30.0),
                         bounds=TemporalBounds(lo=10.0, hi=40.0))
-        got = store.candidates(self.PROFILE, spec)
+        got = survivors(store, WRITES, spec)
         assert got
         assert all(10.0 <= e.ts < 30.0 for e in got)
 
@@ -420,18 +463,12 @@ class TestScanSpec:
     ], ids=["no-agents", "empty-bindings", "empty-bounds", "empty-window"])
     def test_unsatisfiable_specs_short_circuit(self, store, spec):
         assert spec.unsatisfiable
-        dq = plan_multievent(parse(
-            "proc p write file f as e1 return f")).data_queries[0]
-        assert store.candidates(self.PROFILE, spec) == []
+        assert_short_circuits(store, WRITES, spec)
         assert store.estimate(self.PROFILE, spec) == 0
-        assert store.select(dq.profile, dq.compiled, spec) == ([], 0)
 
     def test_limit_truncates_after_exact_filters(self, store):
-        dq = plan_multievent(parse(
-            "proc p write file f as e1 return f")).data_queries[0]
-        full, _ = store.select(dq.profile, dq.compiled)
-        limited, _ = store.select(dq.profile, dq.compiled,
-                                  ScanSpec(limit=5))
+        full = survivors(store, WRITES)
+        limited = survivors(store, WRITES, ScanSpec(limit=5))
         assert len(limited) == 5
         assert {e.id for e in limited} <= {e.id for e in full}
 
@@ -516,19 +553,13 @@ class TestClampedNormalization:
         spec = ScanSpec(window=Window(0.0, 5.0),
                         bounds=TemporalBounds(lo=5.0, hi=5.0))
         assert spec.unsatisfiable
-        profile = PatternProfile(event_type="file",
-                                 operations=frozenset({"write"}))
-        assert store.candidates(profile, spec) == []
-        assert store.estimate(profile, spec) == 0
+        assert_short_circuits(store, WRITES, spec)
 
     def test_disjoint_window_and_bounds_are_unsatisfiable(self, store):
         spec = ScanSpec(window=Window(0.0, 10.0),
                         bounds=TemporalBounds(lo=20.0, hi=30.0))
         assert spec.unsatisfiable
-        profile = PatternProfile(event_type="file",
-                                 operations=frozenset({"write"}))
-        assert store.candidates(profile, spec) == []
-        assert store.estimate(profile, spec) == 0
+        assert_short_circuits(store, WRITES, spec)
 
 
 class TestHistogramEstimates:
@@ -539,10 +570,10 @@ class TestHistogramEstimates:
 
     BUCKET = 100_000.0
 
-    def _skewed_store(self, backend_name):
+    def _skewed_store(self, make_store):
         """One bucket: bulk.exe's writes cluster early, probe.exe's reads
         late; the window covers only the late sliver."""
-        store = create_backend(backend_name, bucket_seconds=self.BUCKET)
+        store = make_store(self.BUCKET)
         bulk = ProcessEntity(1, 1, "bulk.exe")
         probe = ProcessEntity(1, 2, "probe.exe")
         for i in range(900):
@@ -561,8 +592,8 @@ class TestHistogramEstimates:
                            operations=frozenset({"read"}),
                            subject_exact="probe.exe")
 
-    def test_skew_aware_estimates_order_patterns_right(self, backend_name):
-        store = self._skewed_store(backend_name)
+    def test_skew_aware_estimates_order_patterns_right(self, make_store):
+        store = self._skewed_store(make_store)
         spec = ScanSpec(window=self.WINDOW)
         bulk = store.estimate(self.BULK, spec)
         probe = store.estimate(self.PROBE, spec)
@@ -572,8 +603,8 @@ class TestHistogramEstimates:
         # first.
         assert bulk < probe
 
-    def test_estimate_within_bounded_factor_of_truth(self, backend_name):
-        store = self._skewed_store(backend_name)
+    def test_estimate_within_bounded_factor_of_truth(self, make_store):
+        store = self._skewed_store(make_store)
         for profile, window, actual in (
                 (self.PROBE, self.WINDOW, 100),
                 (self.PROBE, Window(90_000.0, 90_050.0), 50),
@@ -583,26 +614,20 @@ class TestHistogramEstimates:
             assert actual / 2 <= estimate <= actual * 2, (
                 profile, window, estimate)
 
-    def test_zero_estimate_still_implies_no_matches(self, backend_name):
+    def test_zero_estimate_still_implies_no_matches(self, make_store):
         """Histogram estimates can undercut the candidate *superset* (a
         cheap access path may fetch unrelated in-window events), but a
         zero estimate must still mean zero true matches."""
-        store = self._skewed_store(backend_name)
-        bulk_dq = plan_multievent(parse(
-            'proc p["bulk.exe"] write file f as e1 return f'
-        )).data_queries[0]
-        probe_dq = plan_multievent(parse(
-            'proc p["probe.exe"] read file f as e1 return f'
-        )).data_queries[0]
+        store = self._skewed_store(make_store)
+        bulk_dq = pattern('proc p["bulk.exe"] write file f as e1 return f')
+        probe_dq = pattern('proc p["probe.exe"] read file f as e1 return f')
         for window in (Window(50_000.0, 60_000.0), self.WINDOW,
                        Window(899.0, 900.0), Window(0.0, 1.0)):
             for profile, dq in ((self.BULK, bulk_dq),
                                 (self.PROBE, probe_dq)):
                 spec = ScanSpec(window=window)
                 if store.estimate(profile, spec) == 0:
-                    survivors, _ = store.select(dq.profile, dq.compiled,
-                                                spec)
-                    assert survivors == []
+                    assert survivors(store, dq, spec) == []
 
 
 class TestEstimateParity:
@@ -612,8 +637,8 @@ class TestEstimateParity:
     BUCKET = 100.0
 
     @pytest.fixture
-    def edge_store(self, backend_name):
-        store = create_backend(backend_name, bucket_seconds=self.BUCKET)
+    def edge_store(self, make_store):
+        store = make_store(self.BUCKET)
         proc = ProcessEntity(1, 1, "edge.exe")
         # One event exactly on a partition boundary, one just inside the
         # previous bucket, one in another agent's partition.
@@ -629,12 +654,12 @@ class TestEstimateParity:
     def test_window_start_is_inclusive_at_partition_edge(self, edge_store):
         spec = ScanSpec(window=Window(100.0, 100.0001), agentids={1})
         assert edge_store.estimate(self.PROFILE, spec) >= 1
-        got = edge_store.candidates(self.PROFILE, spec)
+        got = survivors(edge_store, WRITES, spec)
         assert [e.ts for e in got] == [100.0]
 
     def test_window_end_is_exclusive_at_partition_edge(self, edge_store):
         spec = ScanSpec(window=Window(0.0, 100.0), agentids={1})
-        got = edge_store.candidates(self.PROFILE, spec)
+        got = survivors(edge_store, WRITES, spec)
         assert [e.ts for e in got] == [99.0]
         # estimate may over-approximate but must not claim the pruned
         # boundary event once nothing is in-window.
@@ -647,10 +672,7 @@ class TestEstimateParity:
                                    ScanSpec(agentids={2})) >= 1
         assert edge_store.estimate(self.PROFILE,
                                    ScanSpec(agentids={99})) == 0
-        assert edge_store.estimate(self.PROFILE,
-                                   ScanSpec(agentids=set())) == 0
-        assert edge_store.candidates(self.PROFILE,
-                                     ScanSpec(agentids=set())) == []
+        assert_short_circuits(edge_store, WRITES, ScanSpec(agentids=set()))
 
     def test_zero_estimate_implies_no_candidates(self, edge_store):
         for window in (None, Window(0.0, 100.0), Window(100.0, 200.0),
@@ -658,11 +680,11 @@ class TestEstimateParity:
             for agents in (None, {1}, {2}, set()):
                 spec = ScanSpec(window=window, agentids=agents)
                 if edge_store.estimate(self.PROFILE, spec) == 0:
-                    assert edge_store.candidates(self.PROFILE, spec) == []
+                    assert survivors(edge_store, WRITES, spec) == []
 
     def test_estimate_honors_bounds_like_candidates(self, edge_store):
         """``estimate`` must apply a ``TemporalBounds`` hint exactly as
-        ``candidates`` does — the scheduler re-orders patterns on these
+        the scan does — the scheduler re-orders patterns on these
         counts, and a divergence would rank scans against numbers that
         describe a different fetch."""
         cases = (
@@ -676,7 +698,7 @@ class TestEstimateParity:
         for bounds in cases:
             for agents in (None, {1}, {2}):
                 spec = ScanSpec(agentids=agents, bounds=bounds)
-                got = edge_store.candidates(self.PROFILE, spec)
+                got = survivors(edge_store, WRITES, spec)
                 estimate = edge_store.estimate(self.PROFILE, spec)
                 if estimate == 0:
                     assert got == [], bounds
@@ -686,13 +708,13 @@ class TestEstimateParity:
 
     def test_bounds_window_equivalence(self, edge_store):
         """Bounds expressible as a half-open window give the same
-        candidates as passing that window directly."""
+        survivors as passing that window directly."""
         bounds = TemporalBounds(lo=99.0, hi=100.0, hi_strict=True)
-        via_bounds = edge_store.candidates(
-            self.PROFILE, ScanSpec(agentids={1}, bounds=bounds))
-        via_window = edge_store.candidates(
-            self.PROFILE, ScanSpec(window=Window(99.0, 100.0),
-                                   agentids={1}))
+        via_bounds = survivors(edge_store, WRITES,
+                               ScanSpec(agentids={1}, bounds=bounds))
+        via_window = survivors(edge_store, WRITES,
+                               ScanSpec(window=Window(99.0, 100.0),
+                                        agentids={1}))
         assert ([(e.id, e.ts) for e in via_bounds]
                 == [(e.id, e.ts) for e in via_window])
 
@@ -704,6 +726,8 @@ class TestEstimateParity:
         disjoint partition subsets, and estimates sum over partitions)."""
         if backend_name.startswith("sharded"):
             pytest.skip("already sharded — the tier does not nest")
+        if backend_name.startswith("durable"):
+            pytest.skip("shard workers host registry backends only")
         from repro.storage.sharded import ShardedStore
         specs = (
             ScanSpec(),
@@ -732,8 +756,8 @@ class TestTemporalBoundary:
             'with e1 before e2 within 10 sec\n'
             'return f')
 
-    def _session(self, backend_name: str) -> AiqlSession:
-        session = AiqlSession(backend=backend_name)
+    def _session(self, make_store) -> AiqlSession:
+        session = AiqlSession(store=make_store())
         writer = ProcessEntity(1, 10, "a.exe")
         reader = ProcessEntity(1, 11, "b.exe")
         shared = FileEntity(1, "/x")
@@ -745,13 +769,13 @@ class TestTemporalBoundary:
         return session
 
     @pytest.mark.parametrize("propagate", [True, False])
-    def test_within_edge_event_survives(self, backend_name, propagate):
-        session = self._session(backend_name)
+    def test_within_edge_event_survives(self, make_store, propagate):
+        session = self._session(make_store)
         options = EngineOptions(propagate=propagate)
         assert session.query(self.AIQL, options).rows == [("/x",)]
 
-    def test_strict_before_bound_stays_exclusive(self, backend_name):
-        session = AiqlSession(backend=backend_name)
+    def test_strict_before_bound_stays_exclusive(self, make_store):
+        session = AiqlSession(store=make_store())
         writer = ProcessEntity(1, 10, "a.exe")
         reader = ProcessEntity(1, 11, "b.exe")
         shared = FileEntity(1, "/x")
@@ -774,21 +798,21 @@ class TestIngest:
                      subject=ProcessEntity(1, 1, "w"),
                      object=FileEntity(1, "/f"), amount=1)
 
-    def test_ingest_preserves_ids_and_count(self, backend_name):
-        store = create_backend(backend_name)
+    def test_ingest_preserves_ids_and_count(self, make_store):
+        store = make_store()
         events = [self._event(100 + i, float(i)) for i in range(20)]
         assert store.ingest(events) == 20
         assert len(store) == 20
         assert [e.id for e in store.scan()] == [100 + i for i in range(20)]
 
-    def test_ingest_interns_entities(self, backend_name):
-        store = create_backend(backend_name)
+    def test_ingest_interns_entities(self, make_store):
+        store = make_store()
         store.ingest(self._event(i, float(i)) for i in range(10))
         assert store.entity_count == 2
         assert store.dedup_ratio > 0.5
 
-    def test_record_after_ingest_never_reuses_ids(self, backend_name):
-        store = create_backend(backend_name)
+    def test_record_after_ingest_never_reuses_ids(self, make_store):
+        store = make_store()
         store.ingest([self._event(7, 1.0)])
         recorded = store.record(2.0, 1, "read", ProcessEntity(1, 2, "r"),
                                 FileEntity(1, "/g"))
@@ -799,18 +823,16 @@ class TestIngest:
 
 
 class TestLikeSemantics:
-    def test_unicode_case_folding_is_not_lost(self, backend_name):
+    def test_unicode_case_folding_is_not_lost(self, make_store):
         # U+212A KELVIN SIGN folds to 'k' under the engine's re.IGNORECASE
-        # but not under SQL LIKE; candidates must stay a superset.
-        store = create_backend(backend_name)
+        # but not under SQL LIKE; the index fetch must stay a superset.
+        store = make_store()
         store.record(1.0, 1, "write",
                      ProcessEntity(1, 1, "Kelvin.exe"),
                      FileEntity(1, "/f"))
-        profile = PatternProfile(event_type="file",
-                                 operations=frozenset({"write"}),
-                                 subject_like="k%")
-        assert len(store.candidates(profile)) == 1
-        assert store.estimate(profile) >= 1
+        dq = pattern('proc p["k%"] write file f as e1 return f')
+        assert len(survivors(store, dq)) == 1
+        assert store.estimate(dq.profile) >= 1
 
 
 def test_sqlite_backend_migrates_pre_pushdown_archive(tmp_path):
@@ -846,12 +868,10 @@ def test_sqlite_backend_migrates_pre_pushdown_archive(tmp_path):
     store = SqliteEventStore(path=path)
     try:
         assert len(store) == 1
-        profile = PatternProfile(event_type="file",
-                                 operations=frozenset({"write"}))
-        hit = store.candidates(profile, ScanSpec(bindings=IdentityBindings(
+        hit = survivors(store, WRITES, ScanSpec(bindings=IdentityBindings(
             subjects=frozenset({subject.identity}))))
         assert [e.id for e in hit] == [1]
-        miss = store.candidates(profile, ScanSpec(bindings=IdentityBindings(
+        miss = survivors(store, WRITES, ScanSpec(bindings=IdentityBindings(
             subjects=frozenset(
                 {ProcessEntity(1, 8, "new.exe").identity}))))
         assert miss == []
@@ -912,8 +932,8 @@ def test_sqlite_sketch_caps_over_budget_binding_estimates():
 class TestFullEngineAgreement:
     """The decisive contract: identical rows through the whole engine."""
 
-    def _attack_session(self, backend_name: str) -> AiqlSession:
-        session = AiqlSession(backend=backend_name)
+    def _attack_session(self, store: StorageBackend) -> AiqlSession:
+        session = AiqlSession(store=store)
         cmd = ProcessEntity(AGENT, 100, "cmd.exe", start_time=BASE_TS)
         osql = ProcessEntity(AGENT, 101, "osql.exe",
                              start_time=BASE_TS + 10)
@@ -939,19 +959,20 @@ class TestFullEngineAgreement:
                          log, amount=10)
         return session
 
-    def test_query1_attack_chain(self, backend_name):
-        session = self._attack_session(backend_name)
+    def test_query1_attack_chain(self, make_store):
+        session = self._attack_session(make_store())
         result = session.query(QUERY1)
         assert result.rows == [QUERY1_ROW]
 
-    def test_anomaly_query_agrees_with_row(self, backend_name):
+    def test_anomaly_query_agrees_with_row(self, make_store):
         aiql = ('window = 1 min, step = 1 min\n'
                 'proc p write file f as evt\n'
                 'return p, sum(evt.amount) as total\n'
                 'group by p\n'
                 'having total > 1000')
-        rows = self._attack_session(backend_name).query(aiql).rows
-        expected = self._attack_session("row").query(aiql).rows
+        rows = self._attack_session(make_store()).query(aiql).rows
+        expected = self._attack_session(create_backend("row")).query(
+            aiql).rows
         assert rows == expected
 
 
@@ -964,7 +985,7 @@ class TestOrderPushdown:
                  "proc p write file f as e1 return f")
 
     @pytest.fixture
-    def tied_store(self, backend_name):
+    def tied_store(self, make_store):
         """Five events per timestamp, ingested in reverse id order.
 
         Any limit that cuts inside a tie group must pick the smallest
@@ -973,7 +994,7 @@ class TestOrderPushdown:
         makes sortedness something the backend must maintain, not an
         accident of insertion order.
         """
-        store = create_backend(backend_name, bucket_seconds=1000)
+        store = make_store(1000)
         writer = ProcessEntity(1, 10, "writer.exe")
         events = []
         eid = 0
@@ -1063,15 +1084,20 @@ class TestOrderPushdown:
 
 
 class TestSelectBatches:
-    """Columnar vectorized surface: ``select_batches`` returns the same
-    survivors as ``select``, as projection-gated column slices."""
+    """The vectorized surface: ``select_batches`` returns the same
+    survivors as ``select``, as projection-gated columns whose rows
+    ascend by ``(ts, id)`` — on the columnar store here, and on every
+    contract backend in :class:`TestSelectBatchesEveryBackend`."""
 
     SCAN_AIQL = ("amount >= 100\n"
                  "proc p write file f as e1 return f")
 
     @pytest.fixture
-    def columnar(self):
-        store = create_backend("columnar", bucket_seconds=1000)
+    def batch_store(self):
+        return self._fill(create_backend("columnar", bucket_seconds=1000))
+
+    @staticmethod
+    def _fill(store):
         writer = ProcessEntity(1, 10, "writer.exe")
         reader = ProcessEntity(2, 11, "reader.exe")
         for i in range(60):
@@ -1084,17 +1110,28 @@ class TestSelectBatches:
     def _dq(self, aiql=SCAN_AIQL):
         return plan_multievent(parse(aiql)).data_queries[0]
 
-    def test_batches_match_select(self, columnar):
+    def test_batches_match_select(self, batch_store):
         dq = self._dq()
-        batches, fetched = columnar.select_batches(dq.profile, dq.compiled)
-        events, select_fetched = columnar.select(dq.profile, dq.compiled)
+        batches, fetched = batch_store.select_batches(dq.profile,
+                                                      dq.compiled)
+        events, select_fetched = batch_store.select(dq.profile, dq.compiled)
         hydrated = [event for batch in batches for event in batch.events()]
         assert sorted(e.id for e in hydrated) == sorted(e.id for e in events)
         assert fetched == select_fetched
 
-    def test_batch_columns_agree_with_events(self, columnar):
+    def test_batch_rows_ascend_by_time(self, batch_store):
         dq = self._dq()
-        batches, _fetched = columnar.select_batches(dq.profile, dq.compiled)
+        batches, _fetched = batch_store.select_batches(dq.profile,
+                                                       dq.compiled)
+        assert batches
+        for batch in batches:
+            keys = list(zip(batch.ts, batch.ids))
+            assert keys == sorted(keys)
+
+    def test_batch_columns_agree_with_events(self, batch_store):
+        dq = self._dq()
+        batches, _fetched = batch_store.select_batches(dq.profile,
+                                                       dq.compiled)
         for batch in batches:
             events = batch.events()
             assert list(batch.ids) == [e.id for e in events]
@@ -1105,11 +1142,11 @@ class TestSelectBatches:
             assert list(batch.amounts) == [e.amount for e in events]
             assert all(e.agentid == batch.agentid for e in events)
 
-    def test_projection_gates_columns(self, columnar):
+    def test_projection_gates_columns(self, batch_store):
         dq = self._dq()
         spec = ScanSpec(projection=frozenset({"amount", "object"}))
-        batches, _fetched = columnar.select_batches(dq.profile,
-                                                    dq.compiled, spec)
+        batches, _fetched = batch_store.select_batches(dq.profile,
+                                                       dq.compiled, spec)
         assert batches
         for batch in batches:
             assert batch.amounts is not None
@@ -1120,15 +1157,16 @@ class TestSelectBatches:
             # ts/ids always ride along.
             assert len(batch.ids) == len(batch.ts) == len(batch)
 
-    def test_projection_never_changes_survivors(self, columnar):
+    def test_projection_never_changes_survivors(self, batch_store):
         """Projecting away the *filtered* attribute must not change the
-        result: the fused filter runs over the partition's own columns
-        before projection gates what the batch carries."""
+        result: the filter runs over the stored events before projection
+        gates what the batch carries."""
         dq = self._dq()   # filters on amount
         spec = ScanSpec(projection=frozenset({"object"}))
-        projected, _f1 = columnar.select_batches(dq.profile, dq.compiled,
-                                                 spec)
-        unprojected, _f2 = columnar.select_batches(dq.profile, dq.compiled)
+        projected, _f1 = batch_store.select_batches(dq.profile, dq.compiled,
+                                                    spec)
+        unprojected, _f2 = batch_store.select_batches(dq.profile,
+                                                      dq.compiled)
         assert [list(batch.ids) for batch in projected] \
             == [list(batch.ids) for batch in unprojected]
         for batch in projected:
@@ -1138,24 +1176,40 @@ class TestSelectBatches:
 
     @pytest.mark.parametrize("descending", [False, True],
                              ids=["asc", "desc"])
-    def test_ordered_batches_hold_true_top_k(self, columnar, descending):
+    def test_ordered_batches_hold_true_top_k(self, batch_store, descending):
         dq = self._dq()
         order = ScanOrder(descending=descending, limit=7)
-        batches, _fetched = columnar.select_batches(
+        batches, _fetched = batch_store.select_batches(
             dq.profile, dq.compiled, ScanSpec(order=order))
         rows = [(ts, eid) for batch in batches
                 for ts, eid in zip(batch.ts, batch.ids)]
-        events, _ = columnar.select(dq.profile, dq.compiled,
-                                    ScanSpec(order=order))
+        events, _ = batch_store.select(dq.profile, dq.compiled,
+                                       ScanSpec(order=order))
         assert sorted(rows) == sorted((e.ts, e.id) for e in events)
 
-    def test_batches_survive_later_ingest(self, columnar):
-        """Contiguous batches copy their slices: appending to the store
-        afterwards must not invalidate or corrupt a held batch."""
+    def test_batches_survive_later_ingest(self, batch_store):
+        """Batches own their columns: appending to the store afterwards
+        must not invalidate or corrupt a held batch."""
         dq = self._dq()
-        batches, _fetched = columnar.select_batches(dq.profile, dq.compiled)
+        batches, _fetched = batch_store.select_batches(dq.profile,
+                                                       dq.compiled)
         before = [list(batch.ids) for batch in batches]
         writer = ProcessEntity(1, 10, "writer.exe")
-        columnar.record(500.0, 1, "write", writer,
-                        FileEntity(1, "/data/late.txt"), amount=999)
+        batch_store.record(500.0, 1, "write", writer,
+                           FileEntity(1, "/data/late.txt"), amount=999)
         assert [list(batch.ids) for batch in batches] == before
+
+
+class TestSelectBatchesEveryBackend(TestSelectBatches):
+    """The same batch contract on every backend under test."""
+
+    @pytest.fixture
+    def batch_store(self, make_store):
+        return self._fill(make_store(1000))
+
+    def test_projection_never_changes_survivors(self, batch_store,
+                                                backend_name):
+        if backend_name.startswith("sharded("):
+            pytest.skip("a projected wire batch carries no hydrate: "
+                        "full events cannot cross the shard boundary")
+        super().test_projection_never_changes_survivors(batch_store)

@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro import AiqlSession
 from repro.engine.executor import EngineOptions, execute, explain
-from repro.errors import SemanticError
+from repro.errors import ExecutionError, SemanticError
 from repro.lang.parser import parse
+from repro.model.entities import FileEntity, ProcessEntity
+from repro.storage.durable import DurableStore
 
-from tests.conftest import DAY, QUERY1, QUERY1_ROW
+from tests.conftest import (DAY, QUERY1, QUERY1_ROW, general_engine_rows,
+                            open_backend)
 
 
 class TestMultieventExecution:
@@ -126,16 +130,14 @@ class TestProjectionErrors:
 
 
 class TestVectorizedAndTopK:
-    """The vectorized path (columnar), the general engine's bounded-heap
-    ``top`` (row) and SQL-lowered scans (sqlite) must produce
-    byte-identical rows — ties at the cut, null sort keys, and ``top``
-    larger than the result included."""
+    """The vectorized path on every backend must produce byte-identical
+    rows to the general engine's bounded-heap ``top`` — ties at the cut,
+    null sort keys, and ``top`` larger than the result included."""
 
     @pytest.fixture
     def tied_store(self):
         """Timestamp ties spanning any small ``top`` cut, plus events
         with a null sort attribute (amount-less reads)."""
-        from repro.model.entities import FileEntity, ProcessEntity
         from repro.storage.store import EventStore
         store = EventStore()
         writer = ProcessEntity(1, 10, "writer.exe")
@@ -151,11 +153,13 @@ class TestVectorizedAndTopK:
         return store
 
     def _rows(self, store, aiql):
-        """Rows from the row store, after checking that columnar and
-        sqlite replays of it return exactly the same."""
+        """Rows of the general engine (schedule, join, project) on the
+        row store, after checking that the executor returns exactly the
+        same on the row store and on columnar and sqlite replays."""
         from repro.storage.backend import create_backend
         query = parse(aiql)
-        rows = execute(store, query).rows
+        rows = general_engine_rows(store, query)
+        assert execute(store, query).rows == rows, "row"
         for name in ("columnar", "sqlite"):
             replay = create_backend(name)
             replay.ingest(store.scan())
@@ -217,3 +221,76 @@ class TestVectorizedAndTopK:
                         'return f, e1.amount sort by e1.ts desc top 10')
         assert len(rows) == 10
         assert all(row[1] >= 100 for row in rows)
+
+
+SINGLE_PATTERN = 'proc p["w.exe"] write file f as e1\nreturn f, e1.amount'
+
+ANOMALY = ('window = 1 min, step = 1 min\n'
+           'proc p write file f as evt\n'
+           'return p, sum(evt.amount) as total\n'
+           'group by p')
+
+
+def _load_writes(store, count: int = 10) -> None:
+    """``count`` writes by w.exe that match :data:`SINGLE_PATTERN`, plus
+    reads that do not."""
+    writer = ProcessEntity(1, 10, "w.exe")
+    reader = ProcessEntity(1, 11, "r.exe")
+    for i in range(count):
+        store.record(1000.0 + i, 1, "write", writer,
+                     FileEntity(1, f"/out/{i}"), amount=i)
+        store.record(1000.5 + i, 1, "read", reader, FileEntity(1, "/in"))
+
+
+def _scan_spans(session: AiqlSession) -> list:
+    return [span for span in session.last_trace().spans()
+            if span.name == "scan"]
+
+
+class TestOneScanPath:
+    """Every backend serves ``select_batches``, so which path a query
+    takes depends on its shape alone — never on the store object."""
+
+    def test_durable_columnar_single_pattern_is_vectorized(self, tmp_path):
+        with DurableStore(tmp_path, backend="columnar",
+                          sync="never") as store:
+            _load_writes(store)
+            session = AiqlSession(store=store)
+            rows = session.query(SINGLE_PATTERN, trace=True).rows
+        assert rows == general_engine_rows(store, parse(SINGLE_PATTERN))
+        assert [span.attrs.get("vectorized")
+                for span in _scan_spans(session)] == [True]
+
+    def test_durable_columnar_anomaly_hydrates_nothing(self, tmp_path):
+        with DurableStore(tmp_path, backend="columnar",
+                          sync="never") as store:
+            _load_writes(store)
+            session = AiqlSession(store=store)
+            rows = session.query(ANOMALY, trace=True).rows
+        assert rows == AiqlSession(store=store.inner).query(ANOMALY).rows
+        assert [span.attrs.get("bytes_hydrated")
+                for span in _scan_spans(session)] == [0]
+
+    @pytest.mark.parametrize("backend", ["row", "columnar", "sqlite",
+                                         "durable(columnar)",
+                                         "sharded(row)"])
+    def test_row_limit_guards_single_pattern_queries(self, backend,
+                                                     tmp_path_factory):
+        """An explicit ``row_limit`` below the survivor count raises the
+        joiner's error on every backend, without running a join; at
+        the limit the query answers."""
+        store = open_backend(backend, tmp_path_factory)
+        try:
+            _load_writes(store)
+            session = AiqlSession(store=store)
+            with pytest.raises(ExecutionError, match="exceeded 5 "):
+                session.query(SINGLE_PATTERN, EngineOptions(row_limit=5),
+                              trace=True)
+            names = {span.name for span in session.last_trace().spans()}
+            assert "scan" in names and "join" not in names
+            assert len(session.query(SINGLE_PATTERN,
+                                     EngineOptions(row_limit=10)).rows) == 10
+        finally:
+            close = getattr(store, "close", None)
+            if close is not None:
+                close()

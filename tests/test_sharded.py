@@ -11,6 +11,7 @@ result).
 
 import pytest
 
+from repro import AiqlSession
 from repro.engine.filters import compile_atoms
 from repro.errors import StorageError
 from repro.model.entities import FileEntity, ProcessEntity
@@ -95,10 +96,11 @@ class TestShardPruning:
     def test_agentid_spec_skips_rpc_to_pruned_shards(self, store):
         fill(store, agents=(0, 1, 2, 3))
         before = store.pruned_rounds
-        got = store.candidates(PROFILE, ScanSpec(agentids=frozenset({1, 5})))
+        batches, _ = store.select_batches(
+            PROFILE, MATCH_ALL, ScanSpec(agentids=frozenset({1, 5})))
         # agents 1 and 5 both hash to shard 1 — three shards pruned.
         assert store.pruned_rounds - before == 3
-        assert {e.agentid for e in got} == {1}
+        assert {batch.agentid for batch in batches} == {1}
 
     def test_pruned_shards_are_never_contacted(self, store):
         """The skip is a real non-round-trip: kill shard 0's worker
@@ -120,7 +122,7 @@ class TestShardPruning:
             shard.process.terminate()
         empty = ScanSpec(agentids=frozenset())
         assert store.select(PROFILE, MATCH_ALL, empty) == ([], 0)
-        assert store.candidates(PROFILE, empty) == []
+        assert store.select_batches(PROFILE, MATCH_ALL, empty) == ([], 0)
         assert store.estimate(PROFILE, empty) == 0
         assert store.access_path(PROFILE, empty).name == "unsatisfiable"
 
@@ -159,10 +161,11 @@ class TestMergedStatistics:
 
 
 class TestBatchGather:
-    def test_wire_batches_decode_byte_identical(self):
-        single = create_backend("columnar", bucket_seconds=1000)
+    @pytest.mark.parametrize("inner", ["row", "columnar", "sqlite"])
+    def test_wire_batches_decode_byte_identical(self, inner):
+        single = create_backend(inner, bucket_seconds=1000)
         events = fill(single, agents=(1, 2, 3, 4), events_per_agent=12)
-        with ShardedStore(shards=3, backend="columnar",
+        with ShardedStore(shards=3, backend=inner,
                           bucket_seconds=1000) as sharded:
             sharded.ingest(events)
             spec = ScanSpec(projection=frozenset({"operation", "amount"}))
@@ -195,11 +198,21 @@ class TestBatchGather:
                           key=lambda pair: (-pair[0], pair[1]))[:5]
             assert got == want
 
-    def test_sharded_row_has_no_batch_surface(self):
-        with ShardedStore(shards=2, backend="row") as sharded:
-            assert not hasattr(sharded, "select_batches")
-        with ShardedStore(shards=2, backend="columnar") as sharded:
-            assert hasattr(sharded, "select_batches")
+    def test_sharded_row_serves_batches(self):
+        """Every hosted backend answers the batch scan, so a sharded row
+        store takes the vectorized path with the single node's rows."""
+        single = create_backend("row", bucket_seconds=1000)
+        fill(single, agents=(1, 2, 3), events_per_agent=8)
+        aiql = 'proc p["svc.exe"] write file f as e1\nreturn f, e1.amount'
+        expected = AiqlSession(store=single).query(aiql).rows
+        with ShardedStore(shards=2, backend="row",
+                          bucket_seconds=1000) as sharded:
+            sharded.ingest(single.scan())
+            session = AiqlSession(store=sharded)
+            assert session.query(aiql, trace=True).rows == expected
+            spans = session.last_trace().spans()
+        assert any(span.name == "scan" and span.attrs.get("vectorized")
+                   for span in spans)
 
 
 class TestFailureModel:

@@ -1,9 +1,12 @@
-"""Tests for the EventStore facade: candidates, estimates, ingest."""
+"""Tests for the EventStore facade: index-backed scans, estimates,
+ingest."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.planner import plan_multievent
 from repro.errors import DataModelError, StorageError
+from repro.lang.parser import parse
 from repro.model.entities import FileEntity, NetworkEntity, ProcessEntity
 from repro.model.events import Event
 from repro.model.timeutil import Window
@@ -57,28 +60,24 @@ class TestRecordAndScan:
 
 
 class TestCandidates:
+    """The index-backed fetch behind ``select``: whichever access path a
+    partition costs cheapest, no true match is lost."""
+
     def test_exact_subject_path(self, store):
-        profile = PatternProfile(event_type="file",
-                                 operations=frozenset({"read"}),
-                                 subject_exact="reader.exe")
-        got = store.candidates(profile)
+        got = _survivors(store,
+                         'proc p["reader.exe"] read file f as e1 return f')
         assert len(got) == 10
 
     def test_like_object_path_is_superset_of_matches(self, store):
-        profile = PatternProfile(event_type="file",
-                                 operations=frozenset({"write"}),
-                                 object_like="%/data/0%")
-        got = store.candidates(profile)
-        # Candidates may over-approximate (the chosen index depends on the
-        # costed paths) but must include every true match.
-        matching = [e for e in got if e.operation == "write"
-                    and e.object.name == "/data/0.txt"]
-        assert len(matching) == 10
+        got = _survivors(store,
+                         'proc p write file f["%/data/0%"] as e1 return f')
+        assert len(got) == 10
+        assert all(e.operation == "write" and e.object.name == "/data/0.txt"
+                   for e in got)
 
     def test_candidates_clipped_to_window(self, store):
-        profile = PatternProfile(event_type="file",
-                                 operations=frozenset({"write"}))
-        got = store.candidates(profile, ScanSpec(window=Window(0.0, 10.0)))
+        got = _survivors(store, "proc p write file f as e1 return f",
+                         ScanSpec(window=Window(0.0, 10.0)))
         assert len(got) == 10
 
     def test_estimate_close_to_truth_for_exact(self, store):
@@ -94,14 +93,25 @@ class TestCandidates:
 
     def test_candidates_superset_of_matches(self, store):
         """The chosen access path never loses a matching event."""
-        profile = PatternProfile(event_type="file",
-                                 operations=frozenset({"write"}),
-                                 subject_exact="writer.exe")
-        candidate_ids = {e.id for e in store.candidates(profile)}
-        for event in store.scan():
-            if (event.event_type == "file" and event.operation == "write"
-                    and event.subject.exe_name == "writer.exe"):
-                assert event.id in candidate_ids
+        got = _survivors(store,
+                         'proc p["writer.exe"] write file f as e1 return f')
+        assert {e.id for e in got} == {
+            event.id for event in store.scan()
+            if event.event_type == "file" and event.operation == "write"
+            and event.subject.exe_name == "writer.exe"}
+
+
+def _survivors(store, aiql, spec=None):
+    """``select`` survivors of a single-pattern query, checked against
+    the same rows through ``select_batches``."""
+    dq = plan_multievent(parse(aiql)).data_queries[0]
+    events, fetched = store.select(dq.profile, dq.compiled, spec)
+    batches, batch_fetched = store.select_batches(dq.profile, dq.compiled,
+                                                  spec)
+    assert batch_fetched == fetched
+    assert (sorted(eid for batch in batches for eid in batch.ids)
+            == sorted(e.id for e in events))
+    return events
 
 
 class TestIngestPipeline:
@@ -149,18 +159,15 @@ class TestIngestPipeline:
     st.sampled_from(["read", "write"]),
     st.integers(min_value=0, max_value=4)), max_size=80))
 def test_candidates_equal_scan_filter(specs):
-    """Property: index-backed candidates + residual == full scan filter."""
+    """Property: index-backed fetch + residual == full scan filter."""
     store = EventStore(bucket_seconds=2000)
     for index, (ts, agent, op, fid) in enumerate(specs):
         store.record(ts, agent, op, ProcessEntity(agent, 1, "p.exe"),
                      FileEntity(agent, f"/f/{fid}"), amount=1)
-    profile = PatternProfile(event_type="file",
-                             operations=frozenset({"write"}),
-                             object_exact="/f/0")
     window = Window(1000.0, 9000.0)
-    got = {e.id for e in store.candidates(
-               profile, ScanSpec(window=window, agentids={1, 2}))
-           if e.operation == "write" and e.object.name == "/f/0"}
+    got = {e.id for e in _survivors(
+        store, 'proc p write file f["/f/0"] as e1 return f',
+        ScanSpec(window=window, agentids={1, 2}))}
     expected = {e.id for e in store.scan(window, {1, 2})
                 if e.operation == "write" and e.object.name == "/f/0"}
     assert got == expected

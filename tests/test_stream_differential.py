@@ -23,6 +23,8 @@ from repro.investigate import FIGURE4_QUERIES, FIGURE5_QUERIES
 from repro.model.entities import FileEntity, ProcessEntity
 from repro.model.events import Event
 
+from tests.conftest import open_backend
+
 ALL_BACKENDS = ("row", "columnar", "sqlite")
 
 BACKENDS = tuple(
@@ -36,9 +38,9 @@ def backend_name(request) -> str:
     return request.param
 
 
-def _replay(scenario, backend_name: str, catalog):
+def _replay(scenario, store, catalog):
     """One stream replay: every catalog query standing over one feed."""
-    session = AiqlSession(backend=backend_name)
+    session = AiqlSession(store=store)
     stream = session.stream(batch_size=997)   # before the first register()
     standing = {entry.id: session.register(entry.aiql, name=entry.id)
                 for entry in catalog}
@@ -47,14 +49,24 @@ def _replay(scenario, backend_name: str, catalog):
     return session, standing
 
 
-@pytest.fixture(scope="module")
-def figure4_replay(backend_name, demo_scenario):
-    return _replay(demo_scenario, backend_name, FIGURE4_QUERIES)
+def _close(store) -> None:
+    close = getattr(store, "close", None)
+    if close is not None:
+        close()
 
 
 @pytest.fixture(scope="module")
-def figure5_replay(backend_name, case2_scenario):
-    return _replay(case2_scenario, backend_name, FIGURE5_QUERIES)
+def figure4_replay(backend_name, demo_scenario, tmp_path_factory):
+    store = open_backend(backend_name, tmp_path_factory)
+    yield _replay(demo_scenario, store, FIGURE4_QUERIES)
+    _close(store)
+
+
+@pytest.fixture(scope="module")
+def figure5_replay(backend_name, case2_scenario, tmp_path_factory):
+    store = open_backend(backend_name, tmp_path_factory)
+    yield _replay(case2_scenario, store, FIGURE5_QUERIES)
+    _close(store)
 
 
 @pytest.mark.parametrize("entry", list(FIGURE4_QUERIES), ids=lambda e: e.id)

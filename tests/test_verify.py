@@ -5,7 +5,9 @@ Differential: every figure-4/figure-5 catalog query and the IOC-free hunt
 set (joins, ``%like%``, ``top N``, anomaly, dependency) returns, on every
 storage backend, with and without ``EngineOptions.verify_plans``, exactly
 the rows of the row store run with ``prioritize=False, propagate=False``
-— declaration order, unrestricted scans, the join doing all the work.
+— declaration order, unrestricted scans, the join doing all the work,
+and single-pattern queries forced through that general engine too
+rather than the vectorized path every backend now takes.
 With ``verify_plans`` on, the scheduler also never emits a
 :class:`~repro.storage.backend.ScanSpec` the independent re-derivation in
 :mod:`repro.engine.verify` rejects.  Negative direction: hand-corrupted
@@ -34,6 +36,8 @@ from repro.investigate import FIGURE4_QUERIES, FIGURE5_QUERIES
 from repro.lang.parser import parse
 from repro.storage.backend import (IdentityBindings, ScanOrder, ScanSpec,
                                    TemporalBounds, create_backend)
+
+from tests.conftest import general_engine_rows, open_backend
 
 ALL_BACKENDS = ("row", "columnar", "sqlite", "sharded(columnar)")
 
@@ -64,20 +68,21 @@ def scenarios(demo_scenario, case2_scenario):
 
 @pytest.fixture(scope="module")
 def reference_rows(scenarios):
-    """Rows per query from the row store with both levers off."""
+    """Rows per query from the row store with both levers off, through
+    the general engine."""
     stores = {}
     for name, scenario in scenarios.items():
         stores[name] = create_backend("row")
         scenario.load(stores[name])
-    return {qid: execute(stores[name], parse(aiql), REFERENCE).rows
+    return {qid: general_engine_rows(stores[name], parse(aiql), REFERENCE)
             for name, qid, aiql in QUERIES}
 
 
 @pytest.fixture(params=BACKENDS, scope="module")
-def stores(request, scenarios):
+def stores(request, scenarios, tmp_path_factory):
     loaded = {}
     for name, scenario in scenarios.items():
-        loaded[name] = create_backend(request.param)
+        loaded[name] = open_backend(request.param, tmp_path_factory)
         scenario.load(loaded[name])
     yield loaded
     for store in loaded.values():

@@ -12,6 +12,15 @@ alongside ruff/mypy and runnable anywhere Python is (no dependencies):
     bounds, projection, order) — the exact bug class the plan verifier
     exists to catch at runtime, caught here statically.
 
+``no-feature-detect``
+    Every backend implements the whole scan protocol, so the engine and
+    the sharded coordinator never ask a store which scan methods it has:
+    no ``hasattr(store, "select_batches")`` or three-argument
+    ``getattr(store, "select", None)`` naming a scan method under
+    ``repro/engine/`` or in ``repro/storage/sharded.py``.  A fork on
+    such a probe is how a wrapper that forgets to forward one method
+    silently sends its queries down a different path.
+
 ``wall-clock``
     Engine, stream, and storage code must not read the clock directly —
     neither the wall clock (``time.time()``, ``datetime.now()`` &
@@ -68,7 +77,8 @@ alongside ruff/mypy and runnable anywhere Python is (no dependencies):
 ``unused-import``
     Module-level imports that no code in the module references.
     ``__init__.py`` files (re-export surfaces), ``__future__`` imports,
-    and names listed in ``__all__`` are exempt.
+    names listed in ``__all__``, and the module's ``BENCH_SURFACE``
+    names are exempt.
 
 Exit status: 0 clean, 1 findings (one ``path:line: [rule] message`` per
 finding), 2 usage/parse errors.
@@ -82,7 +92,7 @@ from pathlib import Path
 
 #: Backend scan entry points and the argument count that includes a spec.
 SCAN_METHODS = {"select": 3, "select_batches": 3, "estimate": 2,
-                "candidates": 2, "access_path": 2}
+                "access_path": 2}
 
 #: Modules (beyond repro/engine/) that issue backend scans and therefore
 #: fall under the scan-bypass rule: the shard RPC boundary may only ever
@@ -175,6 +185,8 @@ class Checker(ast.NodeVisitor):
         self.in_engine = (self.in_engine_dir
                           or any(posix.endswith(module)
                                  for module in SCAN_SPEC_MODULES))
+        self.no_feature_detect = (self.in_engine_dir or posix.endswith(
+            "repro/storage/sharded.py"))
 
     def report(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append((node.lineno, rule, message))
@@ -244,8 +256,19 @@ class Checker(ast.NodeVisitor):
         self._register_with_items(node)
         self.generic_visit(node)
 
-    # -- calls: wall clock + span leaks + scan bypass ----------------------
+    # -- calls: wall clock + span leaks + scan bypass + feature probes ------
     def visit_Call(self, node: ast.Call) -> None:
+        if self.no_feature_detect and isinstance(node.func, ast.Name):
+            probe = node.func.id
+            if ((probe == "hasattr" and len(node.args) == 2)
+                    or (probe == "getattr" and len(node.args) == 3)):
+                method = node.args[1]
+                if (isinstance(method, ast.Constant)
+                        and method.value in SCAN_METHODS):
+                    self.report(node, "no-feature-detect",
+                                f"{probe}(..., {method.value!r}) probes for "
+                                f"a scan method every backend implements; "
+                                f"call it")
         dotted = _dotted(node.func)
         if self.in_clock_free and len(dotted) >= 2:
             if dotted[-2:] in WALL_CLOCK_CALLS:
@@ -298,7 +321,8 @@ class Checker(ast.NodeVisitor):
                         f"construct via shardrpc.SPAWN_CONTEXT instead")
 
 
-def _unused_imports(tree: ast.Module, is_init: bool) -> list[tuple[int, str]]:
+def _unused_imports(tree: ast.Module, is_init: bool,
+                    exempt: tuple[str, ...] = ()) -> list[tuple[int, str]]:
     if is_init:
         return []
     imported: dict[str, int] = {}
@@ -331,7 +355,8 @@ def _unused_imports(tree: ast.Module, is_init: bool) -> list[tuple[int, str]]:
                     exported.add(element.value)
     return [(line, name) for name, line in sorted(imported.items(),
                                                   key=lambda kv: kv[1])
-            if name not in used and name not in exported]
+            if name not in used and name not in exported
+            and name not in exempt]
 
 
 def _module_bindings(tree: ast.Module) -> set[str]:
@@ -384,9 +409,12 @@ def check_file(path: Path, root: Path) -> list[str]:
     checker.visit(tree)
     findings = [f"{rel}:{line}: [{rule}] {message}"
                 for line, rule, message in checker.findings]
+    bench_names = next((names for module, names in BENCH_SURFACE.items()
+                        if rel.replace("\\", "/").endswith(module)), ())
     findings.extend(
         f"{rel}:{line}: [unused-import] {name!r} is imported but never used"
-        for line, name in _unused_imports(tree, path.name == "__init__.py"))
+        for line, name in _unused_imports(tree, path.name == "__init__.py",
+                                          bench_names))
     return findings
 
 
