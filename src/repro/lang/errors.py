@@ -23,7 +23,7 @@ class AiqlSyntaxError(ParseError):
 
     def render(self) -> str:
         """Multi-line diagnostic with a caret under the error column."""
-        lines = self.source.splitlines()
+        lines = self.source.split("\n")  # the lexer counts lines at "\n" only
         snippet = lines[self.line - 1] if 0 < self.line <= len(lines) else ""
         caret = " " * (self.col - 1) + "^"
         return (f"syntax error at line {self.line}, column {self.col}: "

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import html
 
-from repro.lang.lexer import Lexer
+from repro.lang.lexer import TRIVIA, tokenize
 from repro.lang.tokens import ENTITY_KEYWORDS, Token, TokenType
 
 # Classification names shared by both renderers (and the web UI CSS).
@@ -43,7 +43,7 @@ _OPERATOR_TYPES = {
 def classify(token: Token) -> str:
     """Map a token to its highlight class."""
     if token.type is TokenType.KEYWORD:
-        return ENTITY if token.text.lower() in ENTITY_KEYWORDS else KEYWORD
+        return ENTITY if token.keyword in ENTITY_KEYWORDS else KEYWORD
     if token.type is TokenType.STRING:
         return STRING
     if token.type is TokenType.NUMBER:
@@ -56,54 +56,29 @@ def classify(token: Token) -> str:
 def _spans(source: str) -> list[tuple[str, str]]:
     """Split source into (class, text) spans, preserving all characters.
 
-    Comments and whitespace between tokens are emitted as COMMENT /
-    untagged spans by scanning the gaps between token positions.  Source
-    that does not lex (the highlighter also runs on *invalid* queries,
-    e.g. in error payloads) degrades to one untagged span.
+    Each token's raw text is the ``width`` characters after the trivia
+    (whitespace and comments) that precede it; that trivia is emitted as
+    COMMENT / untagged spans.  Source that does not lex (the highlighter
+    also runs on *invalid* queries, e.g. in error payloads) degrades to
+    one untagged span.
     """
     from repro.errors import ReproError
 
-    lexer = Lexer(source)
     try:
-        tokens = lexer.tokens()
+        tokens = tokenize(source)
     except ReproError:
         return [("", source)]
-    # Recover byte offsets from line/col positions.
-    line_starts = [0]
-    for index, ch in enumerate(source):
-        if ch == "\n":
-            line_starts.append(index + 1)
     spans: list[tuple[str, str]] = []
     cursor = 0
-    for token in tokens:
-        if token.type is TokenType.EOF:
-            break
-        offset = line_starts[token.line - 1] + token.col - 1
-        if offset > cursor:
-            gap = source[cursor:offset]
-            spans.extend(_classify_gap(gap))
-        if token.type is TokenType.STRING:
-            raw_len = _raw_string_length(source, offset)
-            text = source[offset:offset + raw_len]
-        else:
-            text = token.text
-        spans.append((classify(token), text))
-        cursor = offset + len(text)
+    for token in tokens[:-1]:  # all but EOF
+        start = TRIVIA.match(source, cursor).end()
+        if start > cursor:
+            spans.extend(_classify_gap(source[cursor:start]))
+        cursor = start + token.width
+        spans.append((classify(token), source[start:cursor]))
     if cursor < len(source):
         spans.extend(_classify_gap(source[cursor:]))
     return spans
-
-
-def _raw_string_length(source: str, start: int) -> int:
-    index = start + 1
-    while index < len(source):
-        if source[index] == "\\" and index + 1 < len(source):
-            index += 2
-            continue
-        if source[index] == '"':
-            return index - start + 1
-        index += 1
-    return len(source) - start
 
 
 def _classify_gap(gap: str) -> list[tuple[str, str]]:
@@ -135,7 +110,7 @@ def render_span(source: str, line: int, col: int, length: int = 1) -> str:
     convention :meth:`repro.lang.errors.AiqlSyntaxError.render` uses,
     extended to a range).
     """
-    lines = source.splitlines()
+    lines = source.split("\n")  # the lexer counts lines at "\n" only
     snippet = lines[line - 1] if 0 < line <= len(lines) else ""
     width = max(length, 1)
     if col <= len(snippet):

@@ -1,25 +1,74 @@
-"""Hand-written tokenizer for AIQL.
+"""Tokenizer for AIQL: one compiled master pattern, one pass.
 
-The paper builds the language with ANTLR 4; this reproduction uses a small
-hand-rolled lexer with the same surface: ``//`` line comments, double-quoted
-strings, numbers, identifiers/keywords, and the operator set including the
-dependency-edge arrows ``->`` / ``<-`` and the operation alternation ``||``.
+The paper builds the language with ANTLR 4; this reproduction tokenizes
+with a single compiled regular expression.  Each match is one token: its
+leading trivia (whitespace and ``//`` line comments), then the first of
+these alternatives that matches — a double-quoted string, an ASCII
+number, a word (identifier or case-insensitive keyword), an operator
+(including the dependency-edge arrows ``->`` / ``<-`` and the operation
+alternation ``||``), the end of the source, or any single character,
+which is always an error.  :func:`tokenize` walks ``finditer`` once and
+builds each token straight from its match; positions are 1-based and
+computed from match offsets (lines count ``\\n`` only), and each token
+records its raw source ``width`` so spans and highlighting never rescan
+the text.
+
+Exactness contract: for every input the tokens (type, text, line, col,
+value including its ``int``/``float`` type) and every
+:class:`AiqlSyntaxError` (message, line, col) equal those of the
+original character-walking lexer, kept as ``tests/lexer_reference.py``
+and checked by a property in ``tests/test_lexer.py``.  The cases that
+shape the pattern:
+
+* only ``' '``, ``\\t``, ``\\r`` and ``\\n`` are whitespace (``\\f`` is an
+  unexpected character);
+* a word starts with a letter or ``_`` and continues with any
+  ``str.isalnum()`` character, so ``x²`` lexes but a Unicode digit or
+  numeric (``²``, ``٠``, ``½``) cannot start one — ``\\w`` is exactly
+  ``isalnum()`` plus ``_``, and the first character is checked in code;
+* in a string, ``\\"`` and ``\\\\`` are escapes and any other backslash
+  is literal; a backslash never matches alone before ``"`` or ``\\``, so
+  ``"a\\"`` at end of input is unterminated rather than ``a\\``;
+* an unterminated string (end of input or a newline first) is reported
+  at its opening quote;
+* ``<-`` is an arrow only before ``[`` (``a < -1`` compares);
+* a lone ``|`` gets the ``||`` hint, a lone ``!`` is unexpected.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.lang.errors import AiqlSyntaxError
 from repro.lang.tokens import KEYWORDS, Token, TokenType
 
-_ASCII_DIGITS = frozenset("0123456789")
+#: Whitespace and comments before a token; the highlighter uses it to
+#: find where the next token starts.
+TRIVIA = re.compile(r"(?:[ \t\r\n]|//[^\n]*)*")
 
+#: One match per token: its leading trivia, then exactly one of the
+#: token groups (``end`` matches once, at the end of the source).
+_TOKEN = re.compile(r"(?P<trivia>" + TRIVIA.pattern + r""")
+    (?: (?P<string>"(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*")
+      | (?P<number>[0-9]+(?:\.[0-9]+)?)
+      | (?P<word>\w+)
+      | (?P<operator>\|\||->|<-(?=\[)|<=|>=|!=|[()\[\],.:+*/%=<>-])
+      | (?P<end>\Z)
+      | (?P<error>.) )
+""", re.VERBOSE | re.DOTALL)
 
-def _is_ascii_digit(ch: str) -> bool:
-    """True for '0'..'9' only — not '' (EOF) and not unicode digits."""
-    return ch in _ASCII_DIGITS
+_ESCAPE = re.compile(r'\\(["\\])')
 
-
-_SINGLE_CHAR = {
+_OPERATORS = {
+    "||": TokenType.OROR,
+    "->": TokenType.ARROW_RIGHT,
+    "<-": TokenType.ARROW_LEFT,
+    "<=": TokenType.LE,
+    ">=": TokenType.GE,
+    "!=": TokenType.NEQ,
+    "<": TokenType.LT,
+    ">": TokenType.GT,
+    "-": TokenType.MINUS,
     "(": TokenType.LPAREN,
     ")": TokenType.RPAREN,
     "[": TokenType.LBRACKET,
@@ -35,152 +84,54 @@ _SINGLE_CHAR = {
 }
 
 
-class Lexer:
-    """Streaming tokenizer with 1-based line/column tracking."""
-
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    def _error(self, message: str) -> AiqlSyntaxError:
-        return AiqlSyntaxError(message, self.source, self._line, self._col)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self.source):
-                return
-            if self.source[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    def tokens(self) -> list[Token]:
-        """Tokenize the whole source; always ends with an EOF token."""
-        out: list[Token] = []
-        while True:
-            token = self._next_token()
-            out.append(token)
-            if token.type is TokenType.EOF:
-                return out
-
-    def _skip_trivia(self) -> None:
-        while self._pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        line, col = self._line, self._col
-        ch = self._peek()
-        if not ch:
-            return Token(TokenType.EOF, "", line, col)
-        if ch == '"':
-            return self._string(line, col)
-        # ASCII-only digit test: unicode "digits" like '²' satisfy
-        # str.isdigit() but are not valid number literals.
-        if _is_ascii_digit(ch):
-            return self._number(line, col)
-        if ch.isalpha() or ch == "_":
-            return self._word(line, col)
-        return self._operator(line, col)
-
-    def _string(self, line: int, col: int) -> Token:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise AiqlSyntaxError("unterminated string literal",
-                                      self.source, line, col)
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\" and self._peek(1) in ('"', "\\"):
-                chars.append(self._peek(1))
-                self._advance(2)
-                continue
-            chars.append(ch)
-            self._advance()
-        text = "".join(chars)
-        return Token(TokenType.STRING, text, line, col, value=text)
-
-    def _number(self, line: int, col: int) -> Token:
-        start = self._pos
-        while _is_ascii_digit(self._peek()):
-            self._advance()
-        is_float = False
-        if self._peek() == "." and _is_ascii_digit(self._peek(1)):
-            is_float = True
-            self._advance()
-            while _is_ascii_digit(self._peek()):
-                self._advance()
-        text = self.source[start:self._pos]
-        value: object = float(text) if is_float else int(text)
-        return Token(TokenType.NUMBER, text, line, col, value=value)
-
-    def _word(self, line: int, col: int) -> Token:
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start:self._pos]
-        kind = (TokenType.KEYWORD if text.lower() in KEYWORDS
-                else TokenType.IDENT)
-        return Token(kind, text, line, col)
-
-    def _operator(self, line: int, col: int) -> Token:
-        ch = self._peek()
-        nxt = self._peek(1)
-        if ch == "|" and nxt == "|":
-            self._advance(2)
-            return Token(TokenType.OROR, "||", line, col)
-        if ch == "|":
-            raise self._error("single '|' — did you mean '||'?")
-        if ch == "-" and nxt == ">":
-            self._advance(2)
-            return Token(TokenType.ARROW_RIGHT, "->", line, col)
-        if ch == "-":
-            self._advance()
-            return Token(TokenType.MINUS, "-", line, col)
-        if ch == "<":
-            # '<-' is a dependency edge only when a '[' follows; otherwise
-            # it is a comparison against a negative number (a < -1).
-            if nxt == "-" and self._peek(2) == "[":
-                self._advance(2)
-                return Token(TokenType.ARROW_LEFT, "<-", line, col)
-            if nxt == "=":
-                self._advance(2)
-                return Token(TokenType.LE, "<=", line, col)
-            self._advance()
-            return Token(TokenType.LT, "<", line, col)
-        if ch == ">":
-            if nxt == "=":
-                self._advance(2)
-                return Token(TokenType.GE, ">=", line, col)
-            self._advance()
-            return Token(TokenType.GT, ">", line, col)
-        if ch == "!" and nxt == "=":
-            self._advance(2)
-            return Token(TokenType.NEQ, "!=", line, col)
-        if ch in _SINGLE_CHAR:
-            self._advance()
-            return Token(_SINGLE_CHAR[ch], ch, line, col)
-        raise self._error(f"unexpected character {ch!r}")
-
-
 def tokenize(source: str) -> list[Token]:
-    """Tokenize AIQL source text (convenience wrapper)."""
-    return Lexer(source).tokens()
+    """Tokenize AIQL source text; the list always ends with an EOF token."""
+    tokens: list[Token] = []
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        trivia, text = match.group("trivia", kind)
+        if "\n" in trivia:
+            line += trivia.count("\n")
+            line_start = match.start() + trivia.rfind("\n") + 1
+        col = match.start(kind) - line_start + 1
+        if kind == "word":
+            head = text[0]
+            if not (head.isalpha() or head == "_"):
+                raise AiqlSyntaxError(f"unexpected character {head!r}",
+                                      source, line, col)
+            lowered = text.lower()
+            if lowered in KEYWORDS:
+                tokens.append(Token(TokenType.KEYWORD, text, line, col,
+                                    None, len(text), lowered))
+            else:
+                tokens.append(Token(TokenType.IDENT, text, line, col,
+                                    None, len(text)))
+        elif kind == "operator":
+            tokens.append(Token(_OPERATORS[text], text, line, col,
+                                None, len(text)))
+        elif kind == "string":
+            value = text[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+            tokens.append(Token(TokenType.STRING, value, line, col,
+                                value, len(text)))
+        elif kind == "number":
+            tokens.append(Token(TokenType.NUMBER, text, line, col,
+                                float(text) if "." in text else int(text),
+                                len(text)))
+        elif kind == "end":
+            # finditer would also yield an empty match after trailing trivia
+            tokens.append(Token(TokenType.EOF, "", line, col))
+            break
+        elif text == '"':
+            raise AiqlSyntaxError("unterminated string literal",
+                                  source, line, col)
+        elif text == "|":
+            raise AiqlSyntaxError("single '|' — did you mean '||'?",
+                                  source, line, col)
+        else:
+            raise AiqlSyntaxError(f"unexpected character {text!r}",
+                                  source, line, col)
+    return tokens

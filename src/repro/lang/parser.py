@@ -29,7 +29,7 @@ from repro.errors import SemanticError
 from repro.lang import ast
 from repro.lang.errors import AiqlSyntaxError
 from repro.lang.lexer import tokenize
-from repro.lang.spans import SourceMap, Span, token_length
+from repro.lang.spans import SourceMap
 from repro.lang.tokens import COMPARISON_TOKENS, Token, TokenType
 from repro.model.entities import ENTITY_TYPES, canonical_attribute
 from repro.model.timeutil import Window, parse_duration
@@ -55,6 +55,8 @@ class Parser:
                  check: bool = True) -> None:
         self.source = source
         self._tokens = tokenize(source)
+        # A second EOF lets one-token lookahead index past the end freely.
+        self._tokens.append(self._tokens[-1])
         self._pos = 0
         #: Optional side table receiving node spans (parse_with_spans).
         self._spans = spans
@@ -66,24 +68,16 @@ class Parser:
     # ------------------------------------------------------------------
     # Span recording (no-ops unless a SourceMap was supplied)
     # ------------------------------------------------------------------
-    def _token_span(self, start: Token, end: Token | None = None) -> Span:
-        start_len = token_length(self.source, start)
-        if end is None or end is start or end.line != start.line:
-            return Span(start.line, start.col, start_len)
-        end_len = token_length(self.source, end)
-        return Span(start.line, start.col, end.col - start.col + end_len)
-
     def _note(self, node: object, start: Token,
               end: Token | None = None) -> None:
         if self._spans is not None:
-            self._spans.note(node, self._token_span(start, end))
+            self._spans.note(node, start, end)
 
     # ------------------------------------------------------------------
     # Token-stream helpers
     # ------------------------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._pos + offset]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -228,8 +222,7 @@ class Parser:
                                    object=obj, event_var=event_token.text)
         self._note(pattern, event_token)
         if self._spans is not None:
-            self._spans.note_operations(
-                pattern, tuple(self._token_span(t) for t in op_tokens))
+            self._spans.note_operations(pattern, op_tokens)
         return pattern
 
     def _parse_entity_pattern(self) -> ast.EntityPattern:
@@ -516,8 +509,7 @@ class Parser:
                                       subject_side=side)
             self._note(edge, arrow)
             if self._spans is not None:
-                self._spans.note_operations(
-                    edge, tuple(self._token_span(t) for t in op_tokens))
+                self._spans.note_operations(edge, op_tokens)
             edges.append(edge)
             nodes.append(self._parse_entity_pattern())
         if not edges:

@@ -286,11 +286,11 @@ class _Analyzer:
         allowed = OPERATIONS_BY_TYPE.get(object_type)
         if allowed is None:
             return
-        op_spans = (self._spans.operation_spans(node)
-                    if self._spans is not None else ())
         for position, operation in enumerate(node.operations):
             if operation in allowed:
                 continue
+            op_spans = (self._spans.operation_spans(node)
+                        if self._spans is not None else ())
             span = (op_spans[position] if position < len(op_spans)
                     else self._span(node))
             self._emit(ERROR, "unknown-operation",

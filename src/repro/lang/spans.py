@@ -7,7 +7,9 @@ their identity semantics (and every golden file built on them).  Instead
 the parser records positions in a :class:`SourceMap` side table keyed on
 node *identity*, populated only when a caller asks for spans
 (:func:`repro.lang.parser.parse_with_spans`); the default :func:`parse`
-path pays nothing.
+path pays nothing.  The table keeps each node's first and last token and
+builds a :class:`Span` only when one is asked for — that is, only when a
+diagnostic is reported.
 
 A :class:`Span` is a 1-based ``(line, col)`` plus the token range's
 length on that line — exactly what the caret renderer in
@@ -17,8 +19,9 @@ length on that line — exactly what the caret renderer in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.lang.tokens import Token, TokenType
+from repro.lang.tokens import Token
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,68 +36,46 @@ class Span:
         return f"line {self.line}, column {self.col}"
 
 
-def token_length(source: str, token: Token) -> int:
-    """Length of a token's raw source text (quotes/escapes included)."""
-    if token.type is TokenType.STRING:
-        offset = _offset(source, token.line, token.col)
-        if 0 <= offset < len(source) and source[offset] == '"':
-            return _raw_string_length(source, offset)
-        return len(token.text) + 2
-    return max(len(token.text), 1)
+def _token_span(start: Token, end: Token | None = None) -> Span:
+    """The span from ``start`` through ``end``.
 
-
-def _offset(source: str, line: int, col: int) -> int:
-    """Byte offset of a 1-based (line, col) position."""
-    start = 0
-    for _skip in range(line - 1):
-        newline = source.find("\n", start)
-        if newline == -1:
-            break
-        start = newline + 1
-    return start + col - 1
-
-
-def _raw_string_length(source: str, start: int) -> int:
-    index = start + 1
-    while index < len(source):
-        if source[index] == "\\" and index + 1 < len(source):
-            index += 2
-            continue
-        if source[index] == '"':
-            return index - start + 1
-        index += 1
-    return len(source) - start
+    A range that ends on a later line is cut back to ``start`` alone:
+    a span never crosses a line.
+    """
+    if end is None or end.line != start.line:
+        end = start
+    return Span(start.line, start.col,
+                end.col - start.col + max(end.width, 1))
 
 
 class SourceMap:
     """Identity-keyed side table of AST-node source spans.
 
-    Holds a strong reference to every noted node so ``id()`` keys stay
-    unique for the map's lifetime (a recycled id after garbage
+    Every entry holds a strong reference to its node so ``id()`` keys
+    stay unique for the map's lifetime (a recycled id after garbage
     collection would silently alias two nodes).
     """
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self._spans: dict[int, Span] = {}
-        self._operation_spans: dict[int, tuple[Span, ...]] = {}
-        self._nodes: list[object] = []
+        self._ranges: dict[int, tuple[object, Token, Token | None]] = {}
+        self._operations: dict[int, tuple[object, Sequence[Token]]] = {}
 
-    def note(self, node: object, span: Span) -> None:
-        key = id(node)
-        if key not in self._spans:
-            self._spans[key] = span
-            self._nodes.append(node)
+    def note(self, node: object, start: Token,
+             end: Token | None = None) -> None:
+        """Record ``node`` as spanning ``start`` through ``end``."""
+        self._ranges.setdefault(id(node), (node, start, end))
 
     def span(self, node: object) -> Span | None:
-        return self._spans.get(id(node))
+        entry = self._ranges.get(id(node))
+        return None if entry is None else _token_span(entry[1], entry[2])
 
-    def note_operations(self, node: object, spans: tuple[Span, ...]) -> None:
-        key = id(node)
-        if key not in self._operation_spans:
-            self._operation_spans[key] = spans
-            self._nodes.append(node)
+    def note_operations(self, node: object,
+                        tokens: Sequence[Token]) -> None:
+        """Record the tokens of a pattern/edge's ``op1 || op2`` list."""
+        self._operations.setdefault(id(node), (node, tokens))
 
     def operation_spans(self, node: object) -> tuple[Span, ...]:
         """Per-operation spans of a pattern/edge's ``op1 || op2`` list."""
-        return self._operation_spans.get(id(node), ())
+        entry = self._operations.get(id(node))
+        return () if entry is None else tuple(map(_token_span, entry[1]))

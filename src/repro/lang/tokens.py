@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenType(Enum):
@@ -57,22 +57,21 @@ COMPARISON_TOKENS = frozenset({
 })
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One lexical token with its source position (1-based line/col)."""
+class Token(NamedTuple):
+    """One lexical token with its source position (1-based line/col).
+
+    ``width`` is the token's raw source length — a string's quotes and
+    escapes included — and ``keyword`` the lower-cased text of a KEYWORD
+    token (None for every other type).  Both are set by the lexer.
+    """
 
     type: TokenType
     text: str
     line: int
     col: int
     value: object = None
-
-    @property
-    def keyword(self) -> str | None:
-        """Lower-cased keyword text, or None for non-keywords."""
-        if self.type is TokenType.KEYWORD:
-            return self.text.lower()
-        return None
+    width: int = 0
+    keyword: str | None = None
 
     def __str__(self) -> str:
         return f"{self.type.name}({self.text!r})@{self.line}:{self.col}"

@@ -88,6 +88,13 @@ def format_duration(seconds: float) -> str:
     return f"{seconds} sec"
 
 
+#: ``_DATE_FORMATS`` keyed by (uses ``/``, colon count).  ``/``, ``-`` and
+#: ``:`` reach a parsed date only as literals, so a text can match only
+#: the one format with its separator and colon count: trying that one
+#: gives the result and the error of trying all six in order.
+_FORMAT_BY_SHAPE = {("/" in fmt, fmt.count(":")): fmt for fmt in _DATE_FORMATS}
+
+
 def parse_timestamp(text: str) -> float:
     """Parse a date/datetime literal to epoch seconds (UTC).
 
@@ -95,12 +102,14 @@ def parse_timestamp(text: str) -> float:
     time-of-day.
     """
     stripped = text.strip()
-    for fmt in _DATE_FORMATS:
+    fmt = _FORMAT_BY_SHAPE.get(("/" in stripped, stripped.count(":")))
+    if fmt is not None:
         try:
             parsed = _dt.datetime.strptime(stripped, fmt)
         except ValueError:
-            continue
-        return parsed.replace(tzinfo=_dt.timezone.utc).timestamp()
+            pass
+        else:
+            return parsed.replace(tzinfo=_dt.timezone.utc).timestamp()
     raise DataModelError(f"unparseable date: {text!r}")
 
 

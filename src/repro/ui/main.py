@@ -257,7 +257,8 @@ def _dispatch(args: argparse.Namespace, stdout) -> int:
             options = replace(options, explain=True)
         result = session.query(text, options, trace=args.analyze or tracing)
         if args.analyze:
-            print(_render_analyze(result), file=stdout)
+            print(_render_analyze(result, session.last_trace()),
+                  file=stdout)
         elif args.explain and result.report:
             print("execution:", file=stdout)
             print(result.report, file=stdout)
@@ -329,7 +330,7 @@ def _dispatch(args: argparse.Namespace, stdout) -> int:
     raise ReproError(f"unknown command {args.command!r}")
 
 
-def _render_analyze(result) -> str:
+def _render_analyze(result, tracer=None) -> str:
     """EXPLAIN ANALYZE body: planner estimates against measured reality.
 
     One line per pattern: the actual rows the scan matched and the time
@@ -338,7 +339,8 @@ def _render_analyze(result) -> str:
     access path had to hydrate to get there).  The estimate-error ratio (actual / estimated) is printed
     for every pattern and flagged when off by 4x either way — the signal
     that the per-bucket statistics have gone stale or a predicate
-    defeated them.
+    defeated them.  Given the query's tracer, a last line prices the
+    front end from its ``parse`` / ``analyze`` / ``plan`` spans.
     """
     execution = result.execution
     if execution is None:
@@ -363,6 +365,13 @@ def _render_analyze(result) -> str:
         lines.append("  short-circuited: a pattern had no matches")
     lines.append(f"joined rows: {execution.joined_rows}")
     lines.append(f"total: {execution.elapsed * 1000:.1f} ms")
+    if tracer is not None:
+        spans = tracer.spans()
+        phases = " ".join(
+            f"{name}="
+            f"{sum(s.elapsed for s in spans if s.name == name) * 1000:.2f}"
+            for name in ("parse", "analyze", "plan"))
+        lines.append(f"front end: {phases} ms")
     return "\n".join(lines)
 
 

@@ -1,9 +1,11 @@
 """Tests for the AIQL tokenizer."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from lexer_reference import reference_tokenize
 from repro.lang.errors import AiqlSyntaxError
+from repro.lang.highlight import COMMENT, _spans, classify
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import TokenType
 
@@ -127,3 +129,120 @@ def test_token_stream_reconstructs_source(parts):
     # Lexing is total over well-formed fragments and preserves order.
     rebuilt = [t.text for t in tokens[:-1]]
     assert "".join(rebuilt).replace(" ", "") == source.replace(" ", "").replace('"x%"', 'x%')
+
+
+# ---------------------------------------------------------------------------
+# The master-pattern tokenizer against the character-walking reference
+# ---------------------------------------------------------------------------
+
+def _outcome(lex, source: str):
+    """Tokens field by field (value with its type), or the error."""
+    try:
+        tokens = lex(source)
+    except AiqlSyntaxError as exc:
+        return ("error", exc.reason, exc.line, exc.col)
+    return [(t.type, t.text, t.line, t.col, t.value, type(t.value))
+            for t in tokens]
+
+
+def _assert_matches_reference(source: str) -> None:
+    expected = _outcome(reference_tokenize, source)
+    assert _outcome(tokenize, source) == expected
+    if expected[0] == "error":
+        return
+    line_starts = [0]
+    line_starts += [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    for token in tokenize(source)[:-1]:
+        start = line_starts[token.line - 1] + token.col - 1
+        raw = source[start:start + token.width]
+        if token.type is TokenType.STRING:
+            assert raw[0] == raw[-1] == '"' and len(raw) >= 2
+            assert reference_tokenize(raw)[0].value == token.value
+        else:
+            assert raw == token.text
+        assert token.keyword == (token.text.lower()
+                                 if token.type is TokenType.KEYWORD else None)
+
+
+_PIECES = [
+    # words, keywords in any case, numbers
+    "proc", "PROC", "Return", "p1", "_x", "x2", "é", "ß", "x²", "²", "٠",
+    "½", "42", "3.14", "1.", ".5", "007",
+    # strings: escapes, a lone backslash, unterminated forms
+    '"s"', '"%a b%"', '"a\\"b"', '"a\\\\"', '"\\q"', '"a\\"', '"\\', '"',
+    "\\", '\\"',
+    # trivia
+    " ", "\t", "\r", "\n", "\r\n", "\f", "//c", "// c\n", "/", "\u2028",
+    # operators, arrows with and without '['
+    "<-[", "<-", "<", "-", ">", "->", "<=", ">=", "!=", "!", "|", "||",
+    "=", "(", ")", "[", "]", ",", ".", ":", "+", "*", "%", "@",
+]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.one_of(st.sampled_from(_PIECES), st.text(max_size=3)),
+                max_size=16).map("".join))
+def test_tokenize_equals_reference(source):
+    _assert_matches_reference(source)
+
+
+@pytest.mark.parametrize("source", [
+    "a | b", "|", "!", "a ! b", "@", "\f", "x\x0by", "²", "٠", "½", "a ½",
+    "x²", "x½", "_٠", "a<-b", "a<-[b]", "a <- [b]", "<-", '"a\\"', '"a\\',
+    '"a\nb"', 'x\n  "a\nb"', '"\\q\\"\\\\"', '"\\"', "1.x", "1.2.3",
+    "// only\r\ncomment", "a // c  @", "\r\n\r\nproc", "", "\n", "a \n",
+])
+def test_tokenize_pinned_edges(source):
+    _assert_matches_reference(source)
+
+
+class TestExactnessContract:
+    def test_unicode_numerics_cannot_start_a_word(self):
+        for ch in "²٠½":
+            with pytest.raises(AiqlSyntaxError) as excinfo:
+                tokenize(f"a {ch}")
+            assert (excinfo.value.reason, excinfo.value.col) == (
+                f"unexpected character {ch!r}", 3)
+        assert tokenize("x²")[0].type is TokenType.IDENT
+
+    def test_backslash_quote_at_eof_is_unterminated(self):
+        with pytest.raises(AiqlSyntaxError) as excinfo:
+            tokenize('p "a\\"')
+        assert (excinfo.value.reason, excinfo.value.line,
+                excinfo.value.col) == ("unterminated string literal", 1, 3)
+
+    def test_lone_backslash_is_literal(self):
+        token = tokenize('"\\q"')[0]
+        assert (token.value, token.width) == ("\\q", 4)
+
+    def test_newline_in_string_reported_at_opening_quote(self):
+        with pytest.raises(AiqlSyntaxError) as excinfo:
+            tokenize('x\n  "a\nb"')
+        assert (excinfo.value.line, excinfo.value.col) == (2, 3)
+
+    def test_form_feed_is_not_whitespace(self):
+        with pytest.raises(AiqlSyntaxError, match="unexpected character"):
+            tokenize("proc\fp")
+
+    def test_width_and_keyword_fields(self):
+        proc, string, eof = tokenize('PROC "a\\"b"')
+        assert (proc.keyword, proc.width) == ("proc", 4)
+        assert (string.text, string.width, string.keyword) == ('a"b', 6, None)
+        assert (eof.line, eof.col) == (1, 12)
+
+
+#: Pieces that lex in any order: no stray quote or backslash, no lone
+#: "|", "!" or "@", no character that is not whitespace or cannot start
+#: a word.
+_LEXABLE = [piece for piece in _PIECES
+            if piece not in {'"a\\"', '"\\', '"', "\\", '\\"', "\f", "\u2028",
+                             "²", "٠", "½", "!", "|", "@"}]
+
+
+@given(st.lists(st.sampled_from(_LEXABLE), max_size=16).map("".join))
+def test_highlight_spans_cover_the_source(source):
+    tokens = tokenize(source)[:-1]
+    spans = _spans(source)
+    assert "".join(text for _, text in spans) == source
+    assert [cls for cls, _ in spans if cls not in ("", COMMENT)] == [
+        classify(token) for token in tokens]

@@ -351,6 +351,24 @@ class TestAnalyzeSurfaces:
             if close is not None:
                 close()
 
+    def test_cli_analyze_prices_the_front_end(self, demo_events, tmp_path):
+        """``repro query --analyze`` ends with the parse / analyze / plan
+        span times of the traced query."""
+        import io
+        import re
+
+        from repro.storage.serialize import write_events
+        from repro.ui.main import main
+
+        data = tmp_path / "day.jsonl"
+        write_events(demo_events, str(data))
+        out = io.StringIO()
+        assert main(["query", str(data), QUERY, "--analyze"], out) == 0
+        match = re.search(r"^front end: parse=(\d+\.\d\d) "
+                          r"analyze=(\d+\.\d\d) plan=(\d+\.\d\d) ms$",
+                          out.getvalue(), re.MULTILINE)
+        assert match is not None, out.getvalue()
+        assert sum(float(ms) for ms in match.groups()) > 0
 
     @pytest.mark.parametrize("backend", ["row", "columnar"])
     def test_anomaly_query_reports_its_scan(self, demo_events, backend):

@@ -138,6 +138,25 @@ class TestMultieventErrors:
         else:
             pytest.fail("expected a syntax error")
 
+    @pytest.mark.parametrize("source", ["// a\rb\nproc p @ x",
+                                        "// a\u2028b\nproc p @ x"])
+    def test_caret_snippet_is_the_lexers_line(self, source):
+        # Lines are counted at "\n" only; str.splitlines() also splits
+        # at "\r", U+2028 and friends and would show the wrong line.
+        with pytest.raises(AiqlSyntaxError) as excinfo:
+            parse(source)
+        assert excinfo.value.line == 2
+        assert excinfo.value.render().split("\n")[1:] == [
+            "  proc p @ x", "         ^"]
+
+    def test_analyzer_snippet_is_the_lexers_line(self):
+        from repro.analysis import analyze, render_all
+        source = 'proc p["a\u2028b"] start proc c as e1\nreturn zz'
+        (diagnostic,) = [d for d in analyze(source) if d.span is not None
+                         and d.span.line == 2]
+        assert render_all([diagnostic], source).split("\n")[1:] == [
+            "  return zz", "         ^~"]
+
     def test_unknown_attribute_in_brackets(self):
         with pytest.raises(AiqlSyntaxError, match="no attribute"):
             parse('proc p[dst_ip = "x"] start proc c as e1 return c')
