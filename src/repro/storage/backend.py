@@ -409,8 +409,8 @@ class ColumnBatch:
     The vectorized exchange format ``select_batches`` returns: instead
     of one :class:`~repro.model.events.Event` per survivor, struct-of-
     arrays columns — on the columnar store one C-level :mod:`array`
-    slice per column when the survivors are contiguous, gathered lists
-    otherwise — plus the dictionaries needed to decode them.  Rows
+    slice per column when the survivors are contiguous, gathered
+    tuples otherwise — plus the dictionaries needed to decode them.  Rows
     ascend by ``(ts, id)``.  ``ts`` and ``ids`` are always present; the
     attribute columns are ``None`` when the scan's
     :attr:`ScanSpec.projection` excluded them.

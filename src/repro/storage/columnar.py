@@ -11,18 +11,22 @@ struct-of-arrays columns —
         | amounts | failcodes
 
 — with entities, operations, and event types dictionary-encoded against
-store-level vocabularies.  A pattern's residual predicate (the
-:class:`~repro.engine.filters.CompiledPredicate` atom conjunction) is
+store-level vocabularies, plus one ascending row-index posting per
+``(event type, operation)`` pair present.  A pattern's residual predicate
+(the :class:`~repro.engine.filters.CompiledPredicate` atom conjunction) is
 evaluated *column-at-a-time*:
 
 1. atoms over dictionary-encoded columns are evaluated once per **distinct
    value** (the audit-data vocabulary is tiny relative to event volume),
    yielding allowed-code sets;
-2. per-partition zone maps (ts and amount min/max, codes present) prune
+2. per-partition zone maps (ts min/max, entity codes present) prune
    partitions that cannot match;
-3. a code-generated fused row loop — plain integer set-membership plus the
-   few residual numeric tests — selects matching row indexes;
-4. only survivors are materialized back into :class:`Event` objects.
+3. the admitted ``(type, op)`` postings, bisected to the ts-clamped row
+   span, are the candidate rows — every AIQL pattern names both, so the
+   scan never walks rows of another type or operation;
+4. a code-generated row filter — plain integer set-membership plus the
+   few residual numeric tests — keeps the matching candidates;
+5. only survivors are materialized back into :class:`Event` objects.
 
 Both evaluation modes build their value tests from
 :func:`repro.engine.filters.value_test`, so batch results agree exactly
@@ -36,7 +40,10 @@ import heapq
 import threading
 from array import array
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from itertools import chain
+from operator import itemgetter
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator,
+                    Sequence)
 
 from repro.errors import StorageError
 from repro.model.entities import (DEFAULT_ATTRIBUTE, ENTITY_TYPES, Entity,
@@ -73,10 +80,9 @@ class ColumnarPartition:
 
     __slots__ = ("agentid", "bucket", "ids", "ts", "ops", "etypes",
                  "subjects", "objects", "amounts", "failcodes", "_sorted",
-                 "_sort_lock", "min_ts", "max_ts", "min_amount",
-                 "max_amount", "type_op", "by_type", "by_op",
+                 "_sort_lock", "min_ts", "max_ts", "postings",
                  "by_subject", "by_object",
-                 "subject_name", "object_value", "materialized", "stats")
+                 "materialized", "stats")
 
     def __init__(self, agentid: int, bucket: int) -> None:
         self.agentid = agentid
@@ -103,24 +109,18 @@ class ColumnarPartition:
         self._sorted = True
         self.min_ts = float("inf")
         self.max_ts = float("-inf")
-        self.min_amount = 0
-        self.max_amount = 0
-        # Zone statistics: per-value cardinalities for pruning-power
-        # estimation (the columnar analogue of posting-list sizes).
-        self.type_op: Counter = Counter()
-        self.by_type: Counter = Counter()
-        self.by_op: Counter = Counter()
+        # (etype code, op code) -> ascending row indexes of that pair: the
+        # scans' candidate rows, and (by length) the type/op cardinalities
+        # estimation reads.  Rebuilt whenever the lazy sort moves rows.
+        self.postings: dict[tuple[int, int], array] = {}
         # Per-entity-code cardinalities: estimation and zone pruning for
         # identity-binding pushdown (codes present <=> key in counter).
         self.by_subject: Counter = Counter()
         self.by_object: Counter = Counter()
-        self.subject_name: Counter = Counter()
-        self.object_value: Counter = Counter()
 
     def append(self, eid: int, ts: float, op_code: int, etype_code: int,
                subject_code: int, object_code: int, amount: int,
-               failcode: int, subject_name: str,
-               object_value: object) -> None:
+               failcode: int) -> None:
         # The lazy sort key is (ts, id): an equal-ts append with an
         # out-of-order id breaks it too (the ordered first/last-k scans
         # rely on exact tie order, not just timestamp order).
@@ -139,20 +139,12 @@ class ColumnarPartition:
             self.min_ts = ts
         if ts > self.max_ts:
             self.max_ts = ts
-        if len(self.ids) == 1:
-            self.min_amount = self.max_amount = amount
-        else:
-            if amount < self.min_amount:
-                self.min_amount = amount
-            if amount > self.max_amount:
-                self.max_amount = amount
-        self.type_op[(etype_code, op_code)] += 1
-        self.by_type[etype_code] += 1
-        self.by_op[op_code] += 1
+        posting = self.postings.get((etype_code, op_code))
+        if posting is None:
+            posting = self.postings[(etype_code, op_code)] = array("q")
+        posting.append(len(self.ids) - 1)
         self.by_subject[subject_code] += 1
         self.by_object[object_code] += 1
-        self.subject_name[subject_name] += 1
-        self.object_value[(etype_code, object_value)] += 1
 
     def _ensure_sorted(self) -> None:
         if self._sorted:
@@ -167,6 +159,13 @@ class ColumnarPartition:
                 column = getattr(self, name)
                 setattr(self, name, array(column.typecode,
                                           (column[i] for i in order)))
+            postings: dict[tuple[int, int], array] = {}
+            for row, key in enumerate(zip(self.etypes, self.ops)):
+                posting = postings.get(key)
+                if posting is None:
+                    posting = postings[key] = array("q")
+                posting.append(row)
+            self.postings = postings
             self._sorted = True
 
     def row_range(self, window: Window | None) -> tuple[int, int]:
@@ -182,6 +181,14 @@ class ColumnarPartition:
         self._ensure_sorted()
         return (bisect.bisect_left(self.ts, end)
                 - bisect.bisect_left(self.ts, start))
+
+    def admitted(self, etypes: Iterable[int] | None,
+                 ops: Iterable[int] | None) -> list[array]:
+        """Postings of the pairs whose event type is in ``etypes`` and
+        operation in ``ops`` (``None`` admits any)."""
+        return [posting for (etype, op), posting in self.postings.items()
+                if (etypes is None or etype in etypes)
+                and (ops is None or op in ops)]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -221,7 +228,9 @@ class _ScanPlan:
     ``dim_sets`` maps column name -> allowed code set; ``value_checks``
     are residual ``(column, atom)`` tests on plain numeric columns;
     ``agent_tests`` evaluate once per partition (agentid is constant
-    inside one).  ``empty`` marks an unsatisfiable conjunction.
+    inside one).  ``empty`` marks an unsatisfiable conjunction.  The
+    ``etypes``/``ops`` sets pick the candidate postings; ``row_filter``
+    tests the rest.
     """
 
     __slots__ = ("dim_sets", "value_checks", "agent_tests", "row_filter",
@@ -234,18 +243,48 @@ class _ScanPlan:
         self.row_filter: Callable | None = None
         self.empty = False
 
+    @property
+    def keyed(self) -> bool:
+        """True when postings, not the whole span, supply the rows."""
+        return "etypes" in self.dim_sets or "ops" in self.dim_sets
+
+    def candidates(self, partition: ColumnarPartition, lo: int,
+                   hi: int) -> Sequence[int]:
+        """Ascending candidate rows of the sorted span ``[lo, hi)``: the
+        admitted postings bisected to the span, merged when several."""
+        if not self.keyed:
+            return range(lo, hi)
+        slices = []
+        for posting in partition.admitted(self.dim_sets.get("etypes"),
+                                          self.dim_sets.get("ops")):
+            start = bisect.bisect_left(posting, lo)
+            stop = bisect.bisect_left(posting, hi, start)
+            if start < stop:
+                slices.append(posting[start:stop])
+        if len(slices) == 1:
+            return slices[0]
+        return sorted(chain.from_iterable(slices))
+
+    def survivors(self, partition: ColumnarPartition,
+                  rows: Sequence[int]) -> list[int]:
+        return self.row_filter(rows, partition.ids, partition.ts,
+                               partition.ops, partition.etypes,
+                               partition.subjects, partition.objects,
+                               partition.amounts, partition.failcodes)
+
 
 _INLINE_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=",
                ">": ">", ">=": ">="}
 
 
 def _compile_row_filter(dim_items, value_items) -> Callable:
-    """Generate the fused per-partition row loop for one scan plan.
+    """Generate the row filter over one scan plan's candidate rows.
 
     The generated function is a single list comprehension whose condition
     is integer set-membership per dictionary column plus the residual
     numeric tests — the batch-evaluation hot loop, with no per-row
-    attribute access or Event construction.  Comparisons against numeric
+    attribute access or Event construction; with no condition at all it
+    is one ``list(rows)``.  Comparisons against numeric
     literals inline as native operators (``amounts[i] > _v0``), which
     matches :func:`repro.engine.filters._compare` exactly because the
     numeric event columns always hold numbers; anything else falls back to
@@ -289,10 +328,11 @@ def _compile_row_filter(dim_items, value_items) -> Callable:
         else:
             namespace[f"_t{index}"] = atom.make_test()
             conds.append(f"_t{index}({column}[i])")
-    condition = " and ".join(conds) if conds else "True"
-    source = ("def _row_filter(lo, hi, ids, ts, ops, etypes, subjects, "
+    body = (f"[i for i in rows if {' and '.join(conds)}]" if conds
+            else "list(rows)")
+    source = ("def _row_filter(rows, ids, ts, ops, etypes, subjects, "
               "objects, amounts, failcodes):\n"
-              f"    return [i for i in range(lo, hi) if {condition}]\n")
+              f"    return {body}\n")
     exec(source, namespace)  # noqa: S102 - trusted, locally generated
     return namespace["_row_filter"]  # type: ignore[return-value]
 
@@ -309,23 +349,6 @@ def _count_codes(counter: Counter, codes: set[int]) -> int:
         return sum(count for code, count in counter.items()
                    if code in codes)
     return sum(counter.get(code, 0) for code in codes)
-
-
-def _range_excludes(op: str, value: object, lo: float, hi: float) -> bool:
-    """Zone-map check: can ``column <op> value`` match within [lo, hi]?"""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    if op == "=":
-        return value < lo or value > hi
-    if op == "<":
-        return lo >= value
-    if op == "<=":
-        return lo > value
-    if op == ">":
-        return hi <= value
-    if op == ">=":
-        return hi < value
-    return False
 
 
 class ColumnarEventStore:
@@ -418,8 +441,7 @@ class ColumnarEventStore:
                          self._op_code_for(event.operation),
                          _ETYPE_CODE[obj.entity_type],
                          subject_code, object_code, event.amount,
-                         event.failcode, subject.exe_name,
-                         obj.default_attribute)
+                         event.failcode)
         self._count += 1
         if event.id > self._max_id:
             self._max_id = event.id
@@ -482,15 +504,16 @@ class ColumnarEventStore:
                spec: "ScanSpec | None" = None) -> tuple[list[Event], int]:
         """Evaluate the full residual predicate column-at-a-time.
 
-        Unlike the row store — candidate fetch through one posting index,
-        then the fused per-event predicate — the whole atom conjunction is
-        pushed into the batch scan, so no non-matching Event object is
+        Like the row store, candidates come from the ``(type, op)``
+        postings; unlike it, the rest of the atom conjunction is pushed
+        into the batch row filter, so no non-matching Event object is
         ever materialized.  The spec's identity bindings translate to
-        dictionary-code sets and join the fused membership tests, and its
-        temporal bounds clamp the scan itself — zone maps skip whole
+        dictionary-code sets and join the filter's membership tests, and
+        its temporal bounds clamp the scan itself — zone maps skip whole
         partitions, a binary search over the sorted ts column bounds the
-        fused loop's row range — so binding propagation prunes *before*
-        survivor materialization too.
+        row span each posting is bisected to — so binding propagation
+        prunes *before* survivor materialization too.  ``fetched`` counts
+        the candidate rows the filter walked.
         """
         started = monotonic()
         spec = _resolved(spec)
@@ -522,12 +545,17 @@ class ColumnarEventStore:
 
     def access_path(self, profile: PatternProfile,
                     spec: "ScanSpec | None" = None) -> "AccessPathInfo":
-        """The zone-map-pruned batch loop ``select`` would run (no fetch).
+        """The posting-driven batch scan ``select`` would run (no fetch).
 
-        The columnar store has one physical path — the code-generated
-        fused row loop — but its extent varies: zone maps and the ts
-        clamp decide which partitions and row spans the loop walks, and
-        that is the decision ``explain()`` should surface.
+        The columnar store has one physical path — the code-generated row
+        filter over the admitted ``(type, op)`` postings, or over the whole
+        span when the pattern names neither — but its extent varies: zone
+        maps, the postings and the ts clamp decide which candidate rows
+        the filter walks.  ``rows`` is exactly the ``fetched`` an
+        unlimited ``select``/``select_batches`` over the same profile
+        reports; a pushed limit stops the real scan early, and a small
+        entity-code set the profile does not carry (a pid atom) may
+        zone-prune more.
         """
         from repro.storage.backend import AccessPathInfo
         spec = _resolved(spec)
@@ -536,18 +564,21 @@ class ColumnarEventStore:
                                   and binding_codes.empty):
             return AccessPathInfo("unsatisfiable", 0)
         window = spec.clamped()
-        atoms = self._profile_atoms(profile)
-        plan = self._scan_plan(atoms, binding_codes)
+        plan = self._scan_plan(self._profile_atoms(profile), binding_codes)
         if plan.empty:
             return AccessPathInfo("unsatisfiable", 0)
         scanned = 0
         walked = 0
-        for _partition, lo, hi in self._scan_spans(plan, atoms, window,
-                                                   spec.agentids):
+        for _partition, rows in self._scan_candidates(plan, window,
+                                                      spec.agentids):
             walked += 1
-            scanned += hi - lo
+            scanned += len(rows)
         pruned = sum(1 for _ in self._pruned(window, spec.agentids)) - walked
-        name = "zone-batch(ts-clamp)" if window is not None else "zone-batch"
+        clamps = [tag for tag, on in (("type+op", plan.keyed),
+                                      ("ts-clamp", window is not None)) if on]
+        name = "posting-batch" if plan.keyed else "zone-batch"
+        if clamps:
+            name += f"({','.join(clamps)})"
         if pruned:
             name += f"[{pruned} zone-pruned]"
         return AccessPathInfo(name=name, rows=scanned,
@@ -660,14 +691,11 @@ class ColumnarEventStore:
         if any(not allowed for allowed in plan.dim_sets.values()):
             plan.empty = True
             return plan
-        # Cheapest dimensions first: type/op sets are tiny, entity sets
-        # larger, residual numeric tests (Python calls) last.
-        vocab_sizes = {"etypes": len(_ETYPE_NAME), "ops": len(self._ops),
-                       "subjects": len(self._entities),
-                       "objects": len(self._entities)}
+        # Type and operation select the candidate postings, so the filter
+        # tests only the entity sets, then the residual numeric tests.
         ordered = [(column, self._compacted(plan.dim_sets[column],
-                                            vocab_sizes[column]))
-                   for column in ("etypes", "ops", "subjects", "objects")
+                                            len(self._entities)))
+                   for column in ("subjects", "objects")
                    if column in plan.dim_sets]
         plan.row_filter = _compile_row_filter(ordered, plan.value_checks)
         return plan
@@ -693,23 +721,16 @@ class ColumnarEventStore:
 
     def _zone_excluded(self, partition: ColumnarPartition,
                        plan: _ScanPlan) -> bool:
-        for column, allowed in plan.dim_sets.items():
-            if column == "etypes":
-                if not (allowed & set(partition.by_type)):
-                    return True
-            elif column == "ops":
-                if not (allowed & set(partition.by_op)):
-                    return True
-            elif column in ("subjects", "objects"):
-                # Entity-code sets can be large (LIKE over a big
-                # vocabulary); only probe when small — that is the
-                # binding-propagation case, where whole partitions
-                # typically drop.
-                if len(allowed) <= _ZONE_PROBE_LIMIT:
-                    present = (partition.by_subject if column == "subjects"
-                               else partition.by_object)
-                    if not any(code in present for code in allowed):
-                        return True
+        for column, present in (("subjects", partition.by_subject),
+                                ("objects", partition.by_object)):
+            allowed = plan.dim_sets.get(column)
+            # Entity-code sets can be large (LIKE over a big vocabulary);
+            # only probe when small — that is the binding-propagation
+            # case, where whole partitions typically drop.  Type and
+            # operation need no probe: an absent pair has no posting.
+            if (allowed is not None and len(allowed) <= _ZONE_PROBE_LIMIT
+                    and not any(code in present for code in allowed)):
+                return True
         return False
 
     def select_batches(self, profile: PatternProfile,
@@ -718,11 +739,12 @@ class ColumnarEventStore:
                        ) -> tuple[list["ColumnBatch"], int]:
         """Vectorized ``select``: survivors as per-partition column slices.
 
-        The same fused scan as :meth:`select`, but survivors never become
-        ``Event`` objects: each partition's matching rows come back as a
-        :class:`~repro.storage.backend.ColumnBatch` of parallel column
-        slices — contiguous survivor spans slice the backing arrays in
-        one C-level copy, scattered survivors gather per row — carrying
+        The same posting-driven scan as :meth:`select`, but survivors
+        never become ``Event`` objects: each partition's matching rows
+        come back as a :class:`~repro.storage.backend.ColumnBatch` of
+        parallel column slices — contiguous survivor spans slice the
+        backing arrays in one C-level copy, scattered survivors gather
+        through one ``itemgetter`` — carrying
         only the columns the spec's ``projection`` asks for (``ts``/
         ``id`` always).  Dictionary columns stay codes; the batch carries
         the vocabularies to decode them, and ``hydrate`` materializes
@@ -750,9 +772,12 @@ class ColumnarEventStore:
             def column(name: str):
                 return getattr(partition, name)[lo:hi]
         else:
+            # Scattered posting survivors (at least two rows here): one
+            # C-level gather per column, a tuple.
+            gather = itemgetter(*rows)
+
             def column(name: str):
-                source = getattr(partition, name)
-                return [source[row] for row in rows]
+                return gather(getattr(partition, name))
 
         def want(name: str) -> bool:
             return projection is None or name in projection
@@ -773,43 +798,37 @@ class ColumnarEventStore:
         """Surviving row indexes per partition, honoring order and limit.
 
         Returns ``(groups, examined)`` where each group's rows ascend and
-        ``examined`` counts the rows the fused loop actually walked — the
-        early-termination paths make it smaller than the clamped spans.
+        ``examined`` counts the candidate rows the filter actually walked
+        — the early-termination paths make it smaller than the candidates.
         With a pushed :class:`~repro.storage.backend.ScanOrder` limit the
         union of the groups is exactly the global first/last-k survivor
         set under the ``(ts, id)`` comparator.
         """
-        atoms = list(atoms)
         binding_codes = self._binding_codes(spec.bindings)
         if spec.unsatisfiable or (binding_codes is not None
                                   and binding_codes.empty):
             return [], 0
         # Lower the bounds onto the window machinery: _pruned tests the
         # tightened window against each partition's ts zone map, and
-        # row_range binary-searches the sorted ts column so the fused
-        # loop only walks the clamped row span.
+        # row_range binary-searches the sorted ts column so the filter
+        # only walks candidates inside the clamped row span.
         window = spec.clamped()
         plan = self._scan_plan(atoms, binding_codes)
         if plan.empty:
             return [], 0
         order, limit = spec.order, spec.effective_limit
         if order is not None and limit is not None:
-            return self._scan_rows_ordered(plan, atoms, window,
-                                           spec.agentids, order.descending,
-                                           limit)
+            return self._scan_rows_ordered(plan, window, spec.agentids,
+                                           order.descending, limit)
         groups: list[tuple[ColumnarPartition, list[int]]] = []
         fetched = 0
         remaining = limit
-        for partition, lo, hi in self._scan_spans(plan, atoms, window,
-                                                  spec.agentids):
+        for partition, candidates in self._scan_candidates(plan, window,
+                                                           spec.agentids):
             # Ascending row index == ascending (ts, id): batch consumers
             # (the vectorized executor's merge shortcut) rely on it.
-            partition._ensure_sorted()
-            fetched += hi - lo
-            rows = plan.row_filter(lo, hi, partition.ids, partition.ts,
-                                   partition.ops, partition.etypes,
-                                   partition.subjects, partition.objects,
-                                   partition.amounts, partition.failcodes)
+            fetched += len(candidates)
+            rows = plan.survivors(partition, candidates)
             if not rows:
                 continue
             if remaining is not None:
@@ -824,8 +843,7 @@ class ColumnarEventStore:
             groups.append((partition, rows))
         return groups, fetched
 
-    def _scan_rows_ordered(self, plan: _ScanPlan, atoms: list[Atom],
-                           window: Window | None,
+    def _scan_rows_ordered(self, plan: _ScanPlan, window: Window | None,
                            agentids: set[int] | None, descending: bool,
                            k: int,
                            ) -> tuple[list[tuple[ColumnarPartition,
@@ -833,23 +851,25 @@ class ColumnarEventStore:
         """Global first/last-k survivors with chunked early termination.
 
         Within a partition the sorted row order *is* the ``(ts, id)``
-        comparator, so the fused filter runs chunk-at-a-time from the
-        span's cheap end and stops as soon as the partition's own best k
-        are decided (for descending that means walking past every row
-        tied with the provisional k-th timestamp — an earlier row with
-        the same ts has a smaller id and wins).  Per-partition winners
-        then merge into the global top k; each partition's candidate set
-        provably contains all of its rows that can appear there.
+        comparator, so the filter runs over the ascending candidates
+        chunk-at-a-time from the cheap end and stops as soon as the
+        partition's own best k are decided (for descending that means
+        walking past every row tied with the provisional k-th timestamp
+        — an earlier row with the same ts has a smaller id and wins).
+        Per-partition winners then merge into the global top k; each
+        partition's candidate set provably contains all of its rows that
+        can appear there.
         """
         per_partition: list[tuple[ColumnarPartition, list[int]]] = []
         examined = 0
-        for partition, lo, hi in self._scan_spans(plan, atoms, window,
-                                                  agentids):
-            partition._ensure_sorted()
+        for partition, candidates in self._scan_candidates(plan, window,
+                                                           agentids):
             if descending:
-                rows, walked = self._last_rows(partition, plan, lo, hi, k)
+                rows, walked = self._last_rows(partition, plan, candidates,
+                                               k)
             else:
-                rows, walked = self._first_rows(partition, plan, lo, hi, k)
+                rows, walked = self._first_rows(partition, plan, candidates,
+                                                k)
             examined += walked
             if rows:
                 per_partition.append((partition, rows))
@@ -871,88 +891,86 @@ class ColumnarEventStore:
         return ([(partition, sorted(rows))
                  for partition, rows in grouped.items()], examined)
 
-    def _first_rows(self, partition: ColumnarPartition, plan: _ScanPlan,
-                    lo: int, hi: int, k: int) -> tuple[list[int], int]:
-        """First k survivors of a span in row (= ``(ts, id)``) order."""
+    @staticmethod
+    def _chunks(k: int) -> Iterator[int]:
+        """Chunk sizes of an ordered walk: start near k, double up to
+        ``ORDERED_CHUNK`` — a posting chunk is mostly survivors, so a
+        fixed large chunk would filter far past the k-th one."""
         from repro.storage.backend import ORDERED_CHUNK
+        chunk = max(2 * k, 64)
+        while True:
+            yield chunk
+            if chunk < ORDERED_CHUNK:
+                chunk = min(2 * chunk, ORDERED_CHUNK)
+
+    def _first_rows(self, partition: ColumnarPartition, plan: _ScanPlan,
+                    candidates: Sequence[int], k: int,
+                    ) -> tuple[list[int], int]:
+        """First k survivors in row (= ``(ts, id)``) order."""
         collected: list[int] = []
-        pos = lo
-        examined = 0
-        while pos < hi and len(collected) < k:
-            nxt = min(hi, pos + ORDERED_CHUNK)
-            collected.extend(plan.row_filter(
-                pos, nxt, partition.ids, partition.ts, partition.ops,
-                partition.etypes, partition.subjects, partition.objects,
-                partition.amounts, partition.failcodes))
-            examined += nxt - pos
+        pos, end = 0, len(candidates)
+        for chunk in self._chunks(k):
+            if pos >= end or len(collected) >= k:
+                break
+            nxt = min(end, pos + chunk)
+            collected.extend(plan.survivors(partition, candidates[pos:nxt]))
             pos = nxt
-        return collected[:k], examined
+        return collected[:k], pos
 
     def _last_rows(self, partition: ColumnarPartition, plan: _ScanPlan,
-                   lo: int, hi: int, k: int) -> tuple[list[int], int]:
+                   candidates: Sequence[int], k: int,
+                   ) -> tuple[list[int], int]:
         """Best k survivors under ``(-ts, id)``, walking from the tail."""
-        from repro.storage.backend import ORDERED_CHUNK
         ts_col, ids_col = partition.ts, partition.ids
         key = lambda row: (-ts_col[row], ids_col[row])  # noqa: E731
         collected: list[int] = []
-        pos = hi
-        examined = 0
-        while pos > lo:
-            nxt = max(lo, pos - ORDERED_CHUNK)
-            rows = plan.row_filter(
-                nxt, pos, partition.ids, partition.ts, partition.ops,
-                partition.etypes, partition.subjects, partition.objects,
-                partition.amounts, partition.failcodes)
+        end = pos = len(candidates)
+        for chunk in self._chunks(k):
+            if pos <= 0:
+                break
+            nxt = max(0, pos - chunk)
+            rows = plan.survivors(partition, candidates[nxt:pos])
             if rows:
                 collected = rows + collected
-            examined += pos - nxt
             pos = nxt
-            if len(collected) >= k and pos > lo:
+            if len(collected) >= k and pos > 0:
                 best = heapq.nsmallest(k, collected, key=key)
                 # Stop only when no earlier row can still win: an earlier
                 # row tied with the k-th best timestamp has a smaller id
                 # and would displace it.
-                if ts_col[pos - 1] < ts_col[best[-1]]:
-                    return sorted(best), examined
+                if ts_col[candidates[pos - 1]] < ts_col[best[-1]]:
+                    return sorted(best), end - pos
         if len(collected) > k:
             collected = heapq.nsmallest(k, collected, key=key)
-        return sorted(collected), examined
+        return sorted(collected), end - pos
 
-    def _scan_spans(self, plan: _ScanPlan, atoms: list[Atom],
-                    window: Window | None, agentids: set[int] | None,
-                    ) -> Iterator[tuple[ColumnarPartition, int, int]]:
-        """The row spans the fused loop walks, after every pruning tier.
+    def _scan_candidates(self, plan: _ScanPlan, window: Window | None,
+                         agentids: set[int] | None,
+                         ) -> Iterator[tuple[ColumnarPartition,
+                                             Sequence[int]]]:
+        """The candidate rows the filter walks, after every pruning tier.
 
         One walk shared by the scan and ``access_path`` so the
-        explain surface reports exactly the partitions and clamped spans
+        explain surface reports exactly the partitions and candidates
         the real scan would touch: agent tests, zone maps over the
-        dictionary columns, zone-map range pruning for ordered ts/amount
-        atoms, and the binary-searched window clamp.
+        entity columns, the binary-searched window clamp, and the
+        admitted ``(type, op)`` postings bisected to the clamped span.
+        Residual ts/amount atoms are left to the row filter: the profile
+        ``access_path`` costs from does not carry them.
         """
-        range_atoms = [atom for atom in atoms
-                       if atom.target == "event"
-                       and atom.attribute in ("ts", "amount")]
         for partition in self._pruned(window, agentids):
             if plan.agent_tests and not all(test(partition.agentid)
                                             for test in plan.agent_tests):
                 continue
             if self._zone_excluded(partition, plan):
                 continue
-            excluded = False
-            for atom in range_atoms:
-                lo_value, hi_value = (
-                    (partition.min_ts, partition.max_ts)
-                    if atom.attribute == "ts"
-                    else (partition.min_amount, partition.max_amount))
-                if _range_excludes(atom.op, atom.value, lo_value, hi_value):
-                    excluded = True
-                    break
-            if excluded:
-                continue
+            partition._ensure_sorted()
             lo, hi = partition.row_range(window)
             if lo >= hi:
                 continue
-            yield partition, lo, hi
+            candidates = plan.candidates(partition, lo, hi)
+            if candidates:
+                yield partition, candidates
 
     # ------------------------------------------------------------------
     # Estimation (counter-based analogue of stats.estimate_partition)
@@ -1007,79 +1025,55 @@ class ColumnarEventStore:
                  if profile.event_type is not None else None)
         etypes, ops = partition.etypes, partition.ops
         subjects, objects = partition.subjects, partition.objects
-        if etype is not None and profile.operations:
-            op_codes = frozenset(
-                self._op_code[op] for op in profile.operations
-                if op in self._op_code)
-            count = sum(partition.type_op.get((etype, op), 0)
-                        for op in op_codes)
-            bounds.append(dim(
-                ("type+op", etype, op_codes), count,
-                lambda: lambda i: (etypes[i] == etype
-                                   and ops[i] in op_codes)))
-        elif etype is not None:
-            bounds.append(dim(("type", etype),
-                              partition.by_type.get(etype, 0),
-                              lambda: lambda i: etypes[i] == etype))
-        elif profile.operations:
-            op_codes = frozenset(
-                self._op_code[op] for op in profile.operations
-                if op in self._op_code)
-            count = sum(partition.by_op.get(op, 0) for op in op_codes)
-            bounds.append(dim(("op", op_codes), count,
-                              lambda: lambda i: ops[i] in op_codes))
+        op_codes = frozenset(self._op_code[op]
+                             for op in profile.operations or ()
+                             if op in self._op_code)
+        if etype is not None or profile.operations:
+            count = sum(map(len, partition.admitted(
+                None if etype is None else (etype,),
+                op_codes if profile.operations else None)))
+            if etype is not None and profile.operations:
+                bounds.append(dim(
+                    ("type+op", etype, op_codes), count,
+                    lambda: lambda i: (etypes[i] == etype
+                                       and ops[i] in op_codes)))
+            elif etype is not None:
+                bounds.append(dim(("type", etype), count,
+                                  lambda: lambda i: etypes[i] == etype))
+            else:
+                bounds.append(dim(("op", op_codes), count,
+                                  lambda: lambda i: ops[i] in op_codes))
+        # Entity constraints count through the store-wide memoized code
+        # sets: one dictionary walk per distinct constraint, not a regex
+        # match per partition vocabulary entry.
+        subject_codes = object_codes = None
         if profile.subject_exact is not None:
-            name = profile.subject_exact
-
-            def _subject_exact_test() -> "Callable[[int], bool]":
-                codes = self._constraint_codes("exe_name", exact=name)
-                return lambda i: subjects[i] in codes
-
-            bounds.append(dim(("subject", name),
-                              partition.subject_name.get(name, 0),
-                              _subject_exact_test))
+            subject_key: tuple = ("subject", profile.subject_exact)
+            subject_codes = self._constraint_codes(
+                "exe_name", exact=profile.subject_exact)
         elif profile.subject_like is not None:
-            pattern = profile.subject_like
-            regex = like_to_regex(pattern)
-            count = sum(
-                value for key, value in partition.subject_name.items()
-                if isinstance(key, str) and regex.match(key))
-
-            def _subject_like_test() -> "Callable[[int], bool]":
-                codes = self._constraint_codes("exe_name", pattern=pattern)
-                return lambda i: subjects[i] in codes
-
-            bounds.append(dim(("subject~", pattern), count,
-                              _subject_like_test))
-        if profile.object_exact is not None and etype is not None:
-            value = profile.object_exact
-
-            def _object_exact_test() -> "Callable[[int], bool]":
-                codes = self._constraint_codes("default_attribute",
-                                               exact=value,
-                                               etype_code=etype)
-                return lambda i: objects[i] in codes
-
-            bounds.append(dim(("object", etype, value),
-                              partition.object_value.get((etype, value), 0),
-                              _object_exact_test))
-        elif profile.object_like is not None and etype is not None:
-            pattern = profile.object_like
-            regex = like_to_regex(pattern)
-            count = sum(
-                value for (value_etype, value_key), value
-                in partition.object_value.items()
-                if value_etype == etype and isinstance(value_key, str)
-                and regex.match(value_key))
-
-            def _object_like_test() -> "Callable[[int], bool]":
-                codes = self._constraint_codes("default_attribute",
-                                               pattern=pattern,
-                                               etype_code=etype)
-                return lambda i: objects[i] in codes
-
-            bounds.append(dim(("object~", etype, pattern), count,
-                              _object_like_test))
+            subject_key = ("subject~", profile.subject_like)
+            subject_codes = self._constraint_codes(
+                "exe_name", pattern=profile.subject_like)
+        if subject_codes is not None:
+            bounds.append(dim(
+                subject_key, _count_codes(partition.by_subject,
+                                          subject_codes),
+                lambda: lambda i: subjects[i] in subject_codes))
+        if etype is not None and profile.object_exact is not None:
+            object_key: tuple = ("object", etype, profile.object_exact)
+            object_codes = self._constraint_codes(
+                "default_attribute", exact=profile.object_exact,
+                etype_code=etype)
+        elif etype is not None and profile.object_like is not None:
+            object_key = ("object~", etype, profile.object_like)
+            object_codes = self._constraint_codes(
+                "default_attribute", pattern=profile.object_like,
+                etype_code=etype)
+        if object_codes is not None:
+            bounds.append(dim(
+                object_key, _count_codes(partition.by_object, object_codes),
+                lambda: lambda i: objects[i] in object_codes))
         return min(bounds)
 
     @staticmethod
